@@ -616,3 +616,37 @@ func BenchmarkCompilePipeline(b *testing.B) {
 	solve("solve-off", pass.SpecNone)
 	solve("solve-on", "")
 }
+
+// BenchmarkWitnessReplay replays every Industry I counter-example at
+// paper scale (192 witnesses over the 216-property image filter) on the
+// source netlist: the concrete-memory simulator behind ValidateWitness.
+// The witnesses are collected once, outside the timer.
+func BenchmarkWitnessReplay(b *testing.B) {
+	f := designs.NewImageFilter(designs.DefaultImageFilter())
+	n := f.Netlist()
+	props := f.PropIndices()
+	mr := bmc.CheckMany(n, props, bmc.Options{MaxDepth: 82, UseEMM: true})
+	type ce struct {
+		w    *bmc.Witness
+		prop int
+	}
+	var ces []ce
+	for pi, r := range mr.Results {
+		if r.Kind == bmc.KindCE {
+			ces = append(ces, ce{r.Witness, props[pi]})
+		}
+	}
+	if len(ces) == 0 {
+		b.Fatal("Industry I produced no witnesses")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range ces {
+			if err := c.w.Replay(n, c.prop); err != nil {
+				b.Fatalf("prop %d: %v", c.prop, err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(ces)), "witnesses")
+}

@@ -301,13 +301,31 @@ func (w *Witness) FormatFrame(n *aig.Netlist, f int) string {
 // Replay simulates the witness on the concrete design (real memory
 // arrays) and returns an error unless the property fails at frame Length
 // with all environment constraints satisfied along the trace.
+// A witness that does not fit the design (too few input frames, a
+// property, latch or memory word the design lacks) is reported as an
+// error, not a panic.
 func (w *Witness) Replay(n *aig.Netlist, prop int) error {
+	if prop < 0 || prop >= len(n.Props) {
+		return fmt.Errorf("property %d out of range (design has %d)", prop, len(n.Props))
+	}
+	if w.Length < 0 || len(w.Inputs) <= w.Length {
+		return fmt.Errorf("witness of length %d has %d input frames, want %d", w.Length, len(w.Inputs), w.Length+1)
+	}
+	if len(w.MemInit) > len(n.Memories) {
+		return fmt.Errorf("witness initializes %d memories, design has %d", len(w.MemInit), len(n.Memories))
+	}
 	s := sim.New(n)
 	for id, v := range w.InitLatches {
+		if n.LatchOf(id) == nil {
+			return fmt.Errorf("witness initializes node %d, which is not a latch of the design", id)
+		}
 		s.SetLatch(id, v)
 	}
 	for mi, words := range w.MemInit {
 		for addr, word := range words {
+			if addr < 0 || addr >= n.Memories[mi].Words() {
+				return fmt.Errorf("witness initializes %s[%d], memory has %d words", n.Memories[mi].Name, addr, n.Memories[mi].Words())
+			}
 			s.SetMemWord(mi, addr, word)
 		}
 	}

@@ -77,6 +77,7 @@ type job struct {
 	problemID string
 	key       string
 	sourceKey string
+	dedupKey  string // byKey entry: key+":"+sourceKey
 	log       *eventLog
 	done      chan struct{}
 
@@ -108,6 +109,14 @@ type Server struct {
 
 // New starts a server's worker pool and returns it.
 func New(cfg Config) *Server {
+	s := newIdle(cfg)
+	s.startWorkers()
+	return s
+}
+
+// newIdle builds a server whose worker pool has not started yet, so
+// submissions stay queued until startWorkers.
+func newIdle(cfg Config) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
@@ -124,11 +133,14 @@ func New(cfg Config) *Server {
 		jobs:   make(map[string]*job),
 		byKey:  make(map[string]*job),
 	}
-	for i := 0; i < cfg.Workers; i++ {
+	return s
+}
+
+func (s *Server) startWorkers() {
+	for i := 0; i < s.cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker(i)
 	}
-	return s
 }
 
 // Cache exposes the verdict cache (tests and the stats endpoint).
@@ -252,7 +264,8 @@ func (s *Server) submit(req Request) (*job, int, error) {
 	// to the running job instead of queuing a duplicate. Completed jobs
 	// are not reused — their verdicts are served through the cache below,
 	// which keeps the hit accounting honest.
-	if prev := s.byKey[key+":"+srcKey]; prev != nil {
+	dedupKey := key + ":" + srcKey
+	if prev := s.byKey[dedupKey]; prev != nil {
 		if st := prev.status(); st.State == "queued" || st.State == "running" {
 			s.mu.Unlock()
 			return prev, http.StatusOK, nil
@@ -268,26 +281,24 @@ func (s *Server) submit(req Request) (*job, int, error) {
 		problemID: probID,
 		key:       key,
 		sourceKey: srcKey,
+		dedupKey:  dedupKey,
 		log:       newEventLog(),
 		done:      make(chan struct{}),
 		state:     "queued",
 	}
 	s.jobs[j.id] = j
-	s.byKey[key+":"+srcKey] = j
+	s.byKey[dedupKey] = j
 	s.mu.Unlock()
 	s.cfg.Obs.Point("serve.submit", obs.F("job", j.id), obs.F("family", famID[:16]))
 
 	if hit := s.cache.Lookup(famID, probID, canon.Depth, srcKey); hit != nil && hit.Exact {
-		j.finish(hit.Verdict, true, 0, "")
+		s.finish(j, hit.Verdict, true, 0, "")
 		return j, http.StatusOK, nil
 	}
 	select {
 	case s.queue <- j:
 	default:
-		j.finish(nil, false, 0, "queue full")
-		s.mu.Lock()
-		delete(s.byKey, key+":"+srcKey)
-		s.mu.Unlock()
+		s.finish(j, nil, false, 0, "queue full")
 		return nil, http.StatusServiceUnavailable, fmt.Errorf("queue full (%d jobs)", s.cfg.QueueDepth)
 	}
 	return j, http.StatusAccepted, nil
@@ -375,7 +386,7 @@ func (s *Server) run(slot int, j *job) {
 	warmFrom := 0
 	if hit := s.cache.Peek(j.familyID, j.problemID, j.depth, j.sourceKey); hit != nil {
 		if hit.Exact {
-			j.finish(hit.Verdict, true, 0, "")
+			s.finish(j, hit.Verdict, true, 0, "")
 			return
 		}
 		if j.req.Spec.WarmEligible() {
@@ -394,13 +405,25 @@ func (s *Server) run(slot int, j *job) {
 	sp.End()
 	j.log.CloseLog()
 	if err != nil {
-		j.finish(nil, false, warmFrom, err.Error())
+		s.finish(j, nil, false, warmFrom, err.Error())
 		return
 	}
 	v := verdictOf(res, j.sourceKey)
 	s.cache.Store(j.familyID, j.problemID, v)
-	j.finish(v, false, warmFrom, "")
+	s.finish(j, v, false, warmFrom, "")
 	s.cfg.Obs.Point("serve.done", obs.F("job", j.id), obs.F("kind", v.Kind))
+}
+
+// finish drops j's in-flight dedup entry, unless a newer submission has
+// already replaced it, and then completes j, so whoever j.done wakes sees
+// the index without it.
+func (s *Server) finish(j *job, v *Verdict, cached bool, warm int, errMsg string) {
+	s.mu.Lock()
+	if s.byKey[j.dedupKey] == j {
+		delete(s.byKey, j.dedupKey)
+	}
+	s.mu.Unlock()
+	j.finish(v, cached, warm, errMsg)
 }
 
 func (j *job) setState(st string) {

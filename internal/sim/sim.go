@@ -18,15 +18,27 @@ import (
 	"emmver/internal/aig"
 )
 
-// Simulator holds the mutable state of one simulation run.
+// Simulator holds the mutable state of one simulation run. All per-node
+// state lives in dense slices indexed by NodeID, so a cycle does no
+// per-node allocation or hashing.
 type Simulator struct {
-	n       *aig.Netlist
-	latches map[aig.NodeID]bool
-	mems    []memState
-
-	// per-cycle scratch
-	vals   map[aig.NodeID]bool
+	n      *aig.Netlist
+	latch  []bool // current latch values
+	mems   []memState
 	inputs map[aig.NodeID]bool
+
+	// memo[id] holds gen<<1 | value once node id is evaluated in the
+	// current cycle; Begin and Step bump gen, clearing the memo in O(1).
+	memo []uint32
+	gen  uint32
+
+	// rdRef[id]-1 indexes reads for a KMemRead node (0: not a read bit).
+	rdRef []int32
+	reads []readBit
+
+	// reused Step buffers
+	nextLatch []bool
+	writes    []pendingWrite
 
 	cycle int
 }
@@ -36,18 +48,25 @@ type memState struct {
 	words []uint64
 }
 
+// readBit locates one KMemRead node: bit of memory mi's read port rp.
+type readBit struct {
+	mi  int
+	rp  *aig.ReadPort
+	bit uint
+}
+
+type pendingWrite struct {
+	mi   int
+	addr uint64
+	data uint64
+}
+
 // New builds a simulator with latches at their reset values (InitX latches
 // start at 0 unless overridden with SetLatch), zero/image memories at their
 // declared contents, and arbitrary-init memories at 0 unless overridden
-// with SetMemWord.
+// with SetMemWord. Eval before any Begin sees all inputs false.
 func New(n *aig.Netlist) *Simulator {
-	s := &Simulator{
-		n:       n,
-		latches: make(map[aig.NodeID]bool),
-	}
-	for _, l := range n.Latches {
-		s.latches[l.Node] = l.Init == aig.Init1
-	}
+	s := &Simulator{n: n, gen: 1}
 	for _, m := range n.Memories {
 		ms := memState{mem: m, words: make([]uint64, m.Words())}
 		if m.Init == aig.MemImage {
@@ -55,7 +74,45 @@ func New(n *aig.Netlist) *Simulator {
 		}
 		s.mems = append(s.mems, ms)
 	}
+	s.fit()
+	for _, l := range n.Latches {
+		s.latch[l.Node] = l.Init == aig.Init1
+	}
 	return s
+}
+
+// fit resizes the per-node slices when the netlist has grown since they
+// were sized, and re-indexes the read ports (which may have been added
+// with the new nodes).
+func (s *Simulator) fit() {
+	nn := s.n.NumNodes()
+	if len(s.memo) >= nn {
+		return
+	}
+	s.latch = append(s.latch, make([]bool, nn-len(s.latch))...)
+	s.memo = append(s.memo, make([]uint32, nn-len(s.memo))...)
+	s.rdRef = make([]int32, nn)
+	s.reads = s.reads[:0]
+	for mi := range s.mems {
+		for _, rp := range s.mems[mi].mem.Reads {
+			for bit, id := range rp.Data {
+				if s.rdRef[id] == 0 {
+					s.reads = append(s.reads, readBit{mi: mi, rp: rp, bit: uint(bit)})
+					s.rdRef[id] = int32(len(s.reads))
+				}
+			}
+		}
+	}
+}
+
+// clearMemo forgets every memoized node value.
+func (s *Simulator) clearMemo() {
+	s.fit()
+	s.gen++
+	if s.gen == 1<<31 {
+		clear(s.memo)
+		s.gen = 1
+	}
 }
 
 // Cycle returns the number of completed Step calls.
@@ -63,10 +120,16 @@ func (s *Simulator) Cycle() int { return s.cycle }
 
 // SetLatch overrides a latch's current value (e.g. to replay an InitX
 // witness).
-func (s *Simulator) SetLatch(id aig.NodeID, v bool) { s.latches[id] = v }
+func (s *Simulator) SetLatch(id aig.NodeID, v bool) {
+	s.fit()
+	s.latch[id] = v
+}
 
 // LatchValue returns the current value of a latch node.
-func (s *Simulator) LatchValue(id aig.NodeID) bool { return s.latches[id] }
+func (s *Simulator) LatchValue(id aig.NodeID) bool {
+	s.fit()
+	return s.latch[id]
+}
 
 // SetMemWord overrides a memory word (e.g. to install an arbitrary-init
 // witness image).
@@ -82,16 +145,17 @@ func (s *Simulator) MemWord(memIndex int, addr int) uint64 {
 // Eval computes the current-cycle value of a literal given the input values
 // installed by the ongoing Step (or Begin) call.
 func (s *Simulator) Eval(l aig.Lit) bool {
-	v := s.evalNode(l.Node())
-	if l.Inverted() {
-		return !v
-	}
-	return v
+	s.fit()
+	return s.eval(l)
+}
+
+func (s *Simulator) eval(l aig.Lit) bool {
+	return s.evalNode(l.Node()) != l.Inverted()
 }
 
 func (s *Simulator) evalNode(id aig.NodeID) bool {
-	if v, ok := s.vals[id]; ok {
-		return v
+	if m := s.memo[id]; m>>1 == s.gen {
+		return m&1 == 1
 	}
 	node := s.n.NodeAt(id)
 	var v bool
@@ -101,39 +165,36 @@ func (s *Simulator) evalNode(id aig.NodeID) bool {
 	case aig.KInput:
 		v = s.inputs[id]
 	case aig.KLatch:
-		v = s.latches[id]
+		v = s.latch[id]
 	case aig.KAnd:
-		v = s.Eval(node.F0) && s.Eval(node.F1)
+		v = s.eval(node.F0) && s.eval(node.F1)
 	case aig.KMemRead:
 		v = s.evalMemRead(id)
 	default:
 		panic(fmt.Sprintf("sim: unknown node kind %v", node.Kind))
 	}
-	s.vals[id] = v
+	m := s.gen << 1
+	if v {
+		m |= 1
+	}
+	s.memo[id] = m
 	return v
 }
 
 func (s *Simulator) evalMemRead(id aig.NodeID) bool {
-	for mi := range s.mems {
-		ms := &s.mems[mi]
-		for _, rp := range ms.mem.Reads {
-			for bit, dn := range rp.Data {
-				if dn != id {
-					continue
-				}
-				addr := s.evalVec(rp.Addr)
-				word := ms.words[addr]
-				return word>>uint(bit)&1 == 1
-			}
-		}
+	r := s.rdRef[id]
+	if r == 0 {
+		panic("sim: memread node not found in any port")
 	}
-	panic("sim: memread node not found in any port")
+	rb := &s.reads[r-1]
+	addr := s.evalVec(rb.rp.Addr)
+	return s.mems[rb.mi].words[addr]>>rb.bit&1 == 1
 }
 
 func (s *Simulator) evalVec(v []aig.Lit) uint64 {
 	var out uint64
 	for i, l := range v {
-		if s.Eval(l) {
+		if s.eval(l) {
 			out |= 1 << uint(i)
 		}
 	}
@@ -141,13 +202,16 @@ func (s *Simulator) evalVec(v []aig.Lit) uint64 {
 }
 
 // EvalVec returns the numeric value of a bus in the current cycle.
-func (s *Simulator) EvalVec(v []aig.Lit) uint64 { return s.evalVec(v) }
+func (s *Simulator) EvalVec(v []aig.Lit) uint64 {
+	s.fit()
+	return s.evalVec(v)
+}
 
 // Begin installs input values and clears combinational memoization without
 // advancing the clock, so Eval can inspect combinational functions of the
 // current state and inputs.
 func (s *Simulator) Begin(inputs map[aig.NodeID]bool) {
-	s.vals = make(map[aig.NodeID]bool, s.n.NumNodes())
+	s.clearMemo()
 	s.inputs = inputs
 }
 
@@ -161,35 +225,28 @@ type StepResult struct {
 // (missing inputs default to false). It evaluates all properties and
 // constraints, applies memory writes, and updates latches.
 func (s *Simulator) Step(inputs map[aig.NodeID]bool) StepResult {
-	s.vals = make(map[aig.NodeID]bool, s.n.NumNodes())
-	s.inputs = inputs
+	s.Begin(inputs)
 
-	var res StepResult
-	for _, p := range s.n.Props {
-		res.PropOK = append(res.PropOK, s.Eval(p.OK))
+	res := StepResult{PropOK: make([]bool, len(s.n.Props)), ConstraintsOK: true}
+	for i, p := range s.n.Props {
+		res.PropOK[i] = s.eval(p.OK)
 	}
-	res.ConstraintsOK = true
 	for _, c := range s.n.Constraints {
-		if !s.Eval(c) {
+		if !s.eval(c) {
 			res.ConstraintsOK = false
 		}
 	}
 
 	// Evaluate next-state and write effects before committing anything.
-	nextLatch := make(map[aig.NodeID]bool, len(s.n.Latches))
+	s.nextLatch = s.nextLatch[:0]
 	for _, l := range s.n.Latches {
-		nextLatch[l.Node] = s.Eval(l.Next)
+		s.nextLatch = append(s.nextLatch, s.eval(l.Next))
 	}
-	type pendingWrite struct {
-		mi   int
-		addr uint64
-		data uint64
-	}
-	var writes []pendingWrite
+	s.writes = s.writes[:0]
 	for mi := range s.mems {
 		for _, wp := range s.mems[mi].mem.Writes {
-			if s.Eval(wp.En) {
-				writes = append(writes, pendingWrite{
+			if s.eval(wp.En) {
+				s.writes = append(s.writes, pendingWrite{
 					mi:   mi,
 					addr: s.evalVec(wp.Addr),
 					data: s.evalVec(wp.Data),
@@ -199,10 +256,10 @@ func (s *Simulator) Step(inputs map[aig.NodeID]bool) StepResult {
 	}
 
 	// Commit.
-	for id, v := range nextLatch {
-		s.latches[id] = v
+	for i, l := range s.n.Latches {
+		s.latch[l.Node] = s.nextLatch[i]
 	}
-	for _, w := range writes {
+	for _, w := range s.writes {
 		s.mems[w.mi].words[w.addr] = w.data
 	}
 	s.cycle++
@@ -221,8 +278,9 @@ func (s *Simulator) RandomInputs(rng *rand.Rand) map[aig.NodeID]bool {
 // RandomizeState draws random latch values and memory contents, used by
 // property tests that must explore from arbitrary states.
 func (s *Simulator) RandomizeState(rng *rand.Rand) {
+	s.fit()
 	for _, l := range s.n.Latches {
-		s.latches[l.Node] = rng.Intn(2) == 1
+		s.latch[l.Node] = rng.Intn(2) == 1
 	}
 	for mi := range s.mems {
 		mask := uint64(1)<<uint(s.mems[mi].mem.DW) - 1
