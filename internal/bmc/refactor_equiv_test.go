@@ -141,6 +141,106 @@ func equivDesigns() []struct {
 	}
 }
 
+// equivManyDesigns are the multi-property rows' designs: equivDesigns'
+// filter (all 16 properties) and lookup (its 8 reachability properties),
+// built with the same configurations.
+func equivManyDesigns() []struct {
+	name  string
+	n     *aig.Netlist
+	props []int
+	depth int
+} {
+	f := designs.NewImageFilter(designs.ImageFilterConfig{LineWidth: 4, AW: 4, DW: 4, NumProps: 16})
+	l := designs.NewLookup(designs.LookupConfig{AW: 4, DW: 6, NumProps: 8, Latency: 6})
+	return []struct {
+		name  string
+		n     *aig.Netlist
+		props []int
+		depth int
+	}{
+		{"filter", f.Netlist(), f.PropIndices(), 12},
+		{"lookup", l.Netlist(), l.ReachIndices, 8},
+	}
+}
+
+// countersRecord pins a run's deterministic Stats counters.
+func countersRecord(st Stats) goldenRecord {
+	return goldenRecord{
+		Full:       true,
+		SolveCalls: st.SolveCalls, Conflicts: st.Conflicts,
+		Clauses: st.Clauses, Vars: st.Vars,
+		Restarts: st.Restarts, RestartsLuby: st.RestartsLuby,
+		RestartsEMA: st.RestartsEMA, Simplifies: st.Simplifies,
+		Subsumed: st.SubsumedClauses, Strengthened: st.StrengthenedClauses,
+		Eliminated: st.EliminatedVars, EMMClauses: st.EMM.Clauses(),
+	}
+}
+
+// runEquivMany pins the multi-property and fleet execution modes on one
+// design:
+//   - many/<engine>: sequential CheckMany, one row per property (verdict
+//     and witness) plus a Full "total" row with the run's counters and
+//     its deepest witness as Depth.
+//   - parallel/jobs<N>: CheckManyParallel, per-property verdicts.
+//   - cube/jobs2: Check with cube-and-conquer at a conflict budget low
+//     enough to force splits, per-property verdicts.
+//   - dist/workers2: a loopback CheckDist fleet, per-property verdicts.
+//
+// The fleet modes schedule work across goroutines, so only Kind, Depth
+// (and for parallel, ProofSide) are deterministic there.
+func runEquivMany(t *testing.T, name string, n *aig.Netlist, props []int, depth int) []goldenRecord {
+	t.Helper()
+	var out []goldenRecord
+	add := func(engine, design string, rec goldenRecord) {
+		rec.Design, rec.Engine = design, engine
+		out = append(out, rec)
+	}
+	propName := func(p int) string { return fmt.Sprintf("%s#%d", name, p) }
+	for _, engine := range []string{"bmc2", "bmc3"} {
+		opt := Options{MaxDepth: depth, UseEMM: true, Proofs: engine == "bmc3"}
+		mr := CheckMany(n, props, opt)
+		for pi, r := range mr.Results {
+			add("many/"+engine, propName(props[pi]), goldenRecord{Kind: r.Kind.String(),
+				Depth: r.Depth, ProofSide: r.ProofSide, Witness: witnessDigest(r.Witness)})
+		}
+		total := countersRecord(mr.Stats)
+		total.Depth = mr.MaxWitnessDepth
+		add("many/"+engine, name+"/total", total)
+	}
+	bmc3 := Options{MaxDepth: depth, UseEMM: true, Proofs: true}
+	for _, jobs := range []int{1, 2} {
+		mr := CheckManyParallel(n, props, bmc3, jobs)
+		for pi, r := range mr.Results {
+			add(fmt.Sprintf("parallel/jobs%d", jobs), propName(props[pi]),
+				goldenRecord{Kind: r.Kind.String(), Depth: r.Depth, ProofSide: r.ProofSide})
+		}
+	}
+	old := cubeConflictBudget
+	cubeConflictBudget = 1
+	cube := bmc3
+	cube.Cube, cube.Jobs = true, 2
+	for _, p := range props {
+		r := Check(n, p, cube)
+		add("cube/jobs2", propName(p), goldenRecord{Kind: r.Kind.String(), Depth: r.Depth})
+	}
+	cubeConflictBudget = old
+	dist := bmc3
+	dist.Share = true
+	for _, p := range props {
+		results, errs := runDistFleet(t, n, p, dist, 2, -1)
+		for w, r := range results {
+			if errs[w] != nil || r == nil {
+				t.Fatalf("dist %s worker %d: %v", propName(p), w, errs[w])
+			}
+			if r.Kind != results[0].Kind || r.Depth != results[0].Depth {
+				t.Fatalf("dist %s: workers disagree: %v vs %v", propName(p), r, results[0])
+			}
+		}
+		add("dist/workers2", propName(p), goldenRecord{Kind: results[0].Kind.String(), Depth: results[0].Depth})
+	}
+	return out
+}
+
 func runEquivEngine(t *testing.T, engine string, n *aig.Netlist, prop, depth int) (rec goldenRecord) {
 	t.Helper()
 	opt := Options{MaxDepth: depth}
@@ -214,6 +314,9 @@ func TestRefactorEquivalence(t *testing.T) {
 			rec.Design, rec.Engine = d.name, engine
 			got = append(got, rec)
 		}
+	}
+	for _, d := range equivManyDesigns() {
+		got = append(got, runEquivMany(t, d.name, d.n, d.props, d.depth)...)
 	}
 	if *updateGolden {
 		b, err := json.MarshalIndent(got, "", "  ")
