@@ -52,7 +52,7 @@ func main() {
 		"submit to an emmserved job server at this address (unix:/path, tcp:host:port, or a socket path) instead of solving locally")
 	explicit := flag.Bool("explicit", false, "expand memories into latches first")
 	vcdOut := flag.String("vcd", "", "write the first counter-example waveform here")
-	stats := flag.Bool("stats", false, "print per-depth solver stats and EMM sizes (forces a sequential run)")
+	stats := flag.Bool("stats", false, "print per-depth solver stats and EMM sizes (with -jobs > 1, summed over the workers at each depth)")
 	verbose := flag.Bool("v", false, "log per-depth progress")
 	engFlags := cliobs.RegisterEngine()
 	obsFlags := cliobs.Register()
@@ -199,14 +199,7 @@ func main() {
 		for pi := range props {
 			props[pi] = pi
 		}
-		var mr *bmc.ManyResult
-		if *stats {
-			// Per-depth stats need one shared engine processing depths in
-			// order, so the run is sequential.
-			mr = bmc.CheckMany(n, props, opt)
-		} else {
-			mr = bmc.CheckManyParallel(n, props, opt, opt.Jobs)
-		}
+		mr := bmc.CheckManyParallel(n, props, opt, opt.Jobs)
 		copy(results, mr.Results)
 		depthStats = mr.DepthStats
 		if *stats {

@@ -232,17 +232,19 @@ func VerifySpecCtx(ctx context.Context, n *Netlist, prop int, s Spec) (*Result, 
 
 // VerifyAll model-checks many properties of one design. With Options.Jobs
 // != 1 the properties are distributed over a worker pool (0 selects
-// NumCPU) whose engines share a forward-termination oracle; Jobs == 1 — or
-// Options.CollectDepthStats, which only the sequential engine can
-// attribute to depths — runs all properties over a single shared
-// incremental unrolling. Verdicts are identical either way.
+// NumCPU) whose engines share a forward-termination oracle; Jobs == 1 runs
+// all properties over a single shared incremental unrolling. Both run the
+// same per-depth driver, so verdicts are identical either way, and both
+// honor the engine's strategy, Options.StartDepth and
+// Options.CollectDepthStats (the parallel run sums its workers' per-depth
+// deltas).
 func VerifyAll(n *Netlist, props []int, opt Options) *ManyResult {
 	return VerifyAllCtx(context.Background(), n, props, opt)
 }
 
 // VerifyAllCtx is VerifyAll under a cancellation context; see VerifyCtx.
 func VerifyAllCtx(ctx context.Context, n *Netlist, props []int, opt Options) *ManyResult {
-	if opt.Jobs == 1 || opt.CollectDepthStats {
+	if opt.Jobs == 1 {
 		return bmc.CheckManyCtx(ctx, n, props, opt)
 	}
 	return bmc.CheckManyParallelCtx(ctx, n, props, opt, opt.Jobs)

@@ -27,6 +27,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -214,9 +215,10 @@ type Options struct {
 	// can never flip a verdict (each depth's queries are self-contained
 	// assumptions), and because a NO_CE cache entry implies the skipped
 	// termination checks were SAT, a warm-started run reaches the same
-	// verdict at the same depth as a cold one. Honored by Check/CheckCtx
-	// (including the cube-and-conquer path); the multi-property and
-	// distributed entry points ignore it.
+	// verdict at the same depth as a cold one. The per-depth driver
+	// (checkCompiled) applies it on every entry point except CheckDist: a
+	// fleet's broker leases cubes from depth 0, so every worker checks
+	// every depth.
 	StartDepth int
 }
 
@@ -425,13 +427,20 @@ type engine struct {
 	tracker  *pba.Tracker
 	start    time.Time
 	deadline time.Time
-	stats    Stats
 	// fwdSatDepth memoizes the deepest depth whose (property-independent)
-	// forward termination check is known SAT, so an engine reused across
-	// properties never repeats it.
+	// forward termination check is known SAT, and fwdUnsat holds the first
+	// depth known UNSAT, so an engine reused across properties never
+	// repeats the check. fwdUnsat is private to the engine unless a
+	// per-property fleet shares it as its forward oracle.
 	fwdSatDepth int
-	// solveCalls is kept apart from stats so that the two portfolio lanes
-	// can bump it concurrently without a data race.
+	fwdUnsat    *atomic.Int64
+	// ceQuery is the execution-mode hook of the per-depth driver: it
+	// answers one depth's counter-example query for prop with a decisive
+	// Result, or nil for no CE. In-process (ceStep) unless a cube or
+	// distributed fleet installs its own.
+	ceQuery func(prop, k int) *Result
+	// solveCalls is atomic so that the two portfolio lanes can bump it
+	// concurrently without a data race.
 	solveCalls atomic.Int64
 
 	depthStats []DepthStat
@@ -457,7 +466,10 @@ type engine struct {
 }
 
 func newEngine(ctx context.Context, n *aig.Netlist, prop int, opt Options) *engine {
-	e := &engine{n: n, opt: opt, prop: prop, ctx: ctx, start: time.Now(), fwdSatDepth: -1}
+	e := &engine{n: n, opt: opt, prop: prop, ctx: ctx, start: time.Now(),
+		fwdSatDepth: -1, fwdUnsat: new(atomic.Int64)}
+	e.fwdUnsat.Store(math.MaxInt64)
+	e.ceQuery = e.ceStep
 	if opt.Timeout > 0 {
 		e.deadline = e.start.Add(opt.Timeout)
 	}
@@ -495,14 +507,6 @@ func (e *engine) finish(r *Result) *Result {
 	return r
 }
 
-// obsResolved counts a decisive per-property verdict (anything but a
-// timeout) on the fleet-wide properties-resolved counter.
-func (e *engine) obsResolved(k Kind) {
-	if k != KindTimeout {
-		e.obsProps.Inc()
-	}
-}
-
 // obsPBAUpdate feeds one depth's UNSAT core into the tracker and mirrors
 // the abstraction state (core size, latch-reason set) onto the registry
 // gauges plus a point event in the trace.
@@ -519,11 +523,27 @@ func (e *engine) obsPBAUpdate(i int) {
 }
 
 // forwardCheck runs the property-independent forward termination check at
-// depth i: SAT(I ∧ LFP_i ∧ C_i).
+// depth i: SAT(I ∧ LFP_i ∧ C_i). Its UNSAT answer is upward-closed in
+// depth, so an answer already known — from this engine's earlier
+// properties or from the fleet's shared oracle — is returned without a
+// solver call. Every engine checks depths in order from the same start,
+// so every UNSAT it can publish is the first UNSAT depth it could reach.
 func (e *engine) forwardCheck(i int) sat.Status {
+	if int64(i) >= e.fwdUnsat.Load() {
+		return sat.Unsat
+	}
+	if i <= e.fwdSatDepth {
+		return sat.Sat
+	}
 	sp := e.obs.Span("solve.forward", obs.F("depth", i))
 	st := e.solve(e.fs, e.fu.LoopFreeLit(i))
 	sp.End(obs.F("result", st.String()))
+	switch st {
+	case sat.Sat:
+		e.fwdSatDepth = i
+	case sat.Unsat:
+		e.fwdUnsat.Store(int64(i))
+	}
 	return st
 }
 
@@ -575,6 +595,19 @@ func (e *engine) ceCheck(prop, i int) sat.Status {
 	return st
 }
 
+// ceStep is the in-process ceQuery: the counter-example check plus witness
+// extraction (checkCompiled validates the witness).
+func (e *engine) ceStep(prop, k int) *Result {
+	switch e.ceCheck(prop, k) {
+	case sat.Sat:
+		e.logf("depth %d: counter-example", k)
+		return &Result{Kind: KindCE, Depth: k, Witness: e.extractWitness(k)}
+	case sat.Unknown:
+		return &Result{Kind: KindTimeout, Depth: k}
+	}
+	return nil
+}
+
 // validateWitness replays w on the concrete-memory simulator when the run
 // is configured to and fails loudly on divergence.
 func (e *engine) validateWitness(w *Witness, prop int) {
@@ -603,41 +636,84 @@ func CheckCtx(ctx context.Context, n *aig.Netlist, prop int, opt Options) *Resul
 	if jobs := par.Jobs(opt.Jobs); opt.Cube && jobs > 1 && shareEligible(c.n, opt) {
 		return c.finish(checkCubed(ctx, c.n, c.props[0], opt, jobs), prop, opt)
 	}
-	return c.finish(checkCompiled(ctx, c.n, c.props[0], opt), prop, opt)
+	e := newEngine(ctx, c.n, c.props[0], opt)
+	return c.finish(e.finish(checkCompiled(e.strategyFor(), c.props, e)[0]), prop, opt)
 }
 
-// checkCompiled is the engine loop proper, running directly on the netlist
-// it is given (already compiled by the caller).
-func checkCompiled(ctx context.Context, n *aig.Netlist, prop int, opt Options) *Result {
-	e := newEngine(ctx, n, prop, opt)
-	strat := e.strategyFor()
-	for i := 0; i <= opt.MaxDepth; i++ {
+// checkCompiled is the per-depth driver, the one depth loop every entry
+// point runs on its (already compiled) netlist. At each depth it steps
+// strat once per unresolved property, in order, on the lead engine
+// fleet[0]; the execution mode lives in that engine's hooks (ceQuery, the
+// forward oracle), not here. The driver alone owns the per-depth jobs
+// around the strategy: the timeout check, the StartDepth warm-start gate,
+// the bmc.depth span, frame extension, publishObs and inprocessing on
+// every fleet engine, DepthStats, witness validation and resolution
+// counting. It returns one result per property; run-level statistics stay
+// on the engines.
+func checkCompiled(strat Strategy, props []int, fleet ...*engine) []*Result {
+	e := fleet[0]
+	res := make([]*Result, len(props))
+	open := len(props)
+	resolve := func(pi int, r *Result) {
+		if r.Witness != nil {
+			// On the driver's goroutine, whichever worker found the CE.
+			e.validateWitness(r.Witness, props[pi])
+		}
+		r.Prop = props[pi]
+		res[pi] = r
+		open--
+		if r.Kind != KindTimeout {
+			// A decisive verdict, on the fleet-wide resolved counter.
+			e.obsProps.Inc()
+		}
+	}
+	resolveOpen := func(kind Kind, depth int) {
+		for pi, r := range res {
+			if r == nil {
+				resolve(pi, &Result{Kind: kind, Depth: depth})
+			}
+		}
+	}
+	for i := 0; i <= e.opt.MaxDepth && open > 0; i++ {
 		if e.timedOut() {
-			return e.finish(&Result{Kind: KindTimeout, Depth: max(i-1, 0)})
+			resolveOpen(KindTimeout, max(i-1, 0))
+			break
 		}
-		sp := e.obs.Span("bmc.depth", obs.F("depth", i), obs.F("prop", prop),
+		sp := e.obs.Span("bmc.depth", obs.F("depth", i), obs.F("prop", e.prop),
 			obs.F("strategy", strat.Name()))
-		e.prepareDepth(i)
-		var r *Result
-		if i >= opt.StartDepth {
-			// Below the warm-start frontier only the (cumulative) unrolling
-			// and EMM constraints are built; the depth's checks are already
-			// answered by the caller's cached shallower verdict.
-			r, _ = strat.Step(ctx, i)
+		for _, f := range fleet {
+			f.prepareDepth(i)
 		}
-		e.publishObs(i)
-		if opt.CollectDepthStats {
+		// Below the warm-start frontier only the (cumulative) unrolling and
+		// EMM constraints are built; the depth's checks are already
+		// answered by the caller's cached shallower verdict.
+		for pi, p := range props {
+			switch {
+			case res[pi] != nil || i < e.opt.StartDepth:
+			case e.timedOut():
+				resolve(pi, &Result{Kind: KindTimeout, Depth: i})
+			default:
+				e.prop = p
+				if r, _ := strat.Step(e.ctx, i); r != nil {
+					resolve(pi, r)
+				}
+			}
+		}
+		for _, f := range fleet {
+			f.publishObs(i)
+		}
+		if e.opt.CollectDepthStats {
 			e.collectDepthStat(i)
 		}
 		sp.End(obs.F("emm_clauses", e.emmClausesCum()),
 			obs.F("clauses", e.fs.NumClauses()),
-			obs.F("decided", r != nil))
-		if r != nil {
-			e.obsResolved(r.Kind)
-			return e.finish(r)
+			obs.F("unresolved", open))
+		if open > 0 {
+			for _, f := range fleet {
+				f.simplifyStep(i)
+			}
 		}
-		e.simplifyStep(i)
 	}
-	e.obsResolved(KindNoCE)
-	return e.finish(&Result{Kind: KindNoCE, Depth: opt.MaxDepth})
+	resolveOpen(KindNoCE, e.opt.MaxDepth)
+	return res
 }

@@ -153,10 +153,10 @@ func (q *cubeQueue) close() {
 	q.cond.Broadcast()
 }
 
-// checkCubed is the cube-and-conquer engine loop for one (compiled)
-// property: a fleet of jobs worker engines advances depth in lockstep,
-// termination proofs run sequentially on engine 0, and the counter-example
-// check fans out over the cube queue. Callers have verified
+// checkCubed runs one (compiled) property on a cube-and-conquer fleet: the
+// per-depth driver advances jobs worker engines in lockstep, the bmc
+// ladder's termination proofs run on engine 0, and engine 0's ceQuery fans
+// the counter-example check out over the cube queue. Callers have verified
 // shareEligible and jobs > 1.
 func checkCubed(ctx context.Context, n *aig.Netlist, prop int, opt Options, jobs int) *Result {
 	// Cube-and-conquer splits the search over the deterministic eager
@@ -166,22 +166,13 @@ func checkCubed(ctx context.Context, n *aig.Netlist, prop int, opt Options, jobs
 	// (spec.CapCube vs CapLazy); this reset enforces the same invariant
 	// for direct Options-level callers.
 	opt.LazyEMM = false
-	runCtx, cancel := context.WithCancel(ctx)
+	runCtx, cancel := fleetContext(ctx, &opt)
 	defer cancel()
-	if opt.Timeout > 0 {
-		var tcancel context.CancelFunc
-		runCtx, tcancel = context.WithTimeout(runCtx, opt.Timeout)
-		defer tcancel()
-		opt.Timeout = 0
-	}
 	opt.Log = par.SyncWriter(opt.Log)
 
 	var fwd, bwd *share.Bus
 	if opt.Share {
-		fwd = share.NewBus(jobs, ringCapacity(opt))
-		if opt.Proofs {
-			bwd = share.NewBus(jobs, ringCapacity(opt))
-		}
+		fwd, bwd = newBuses(jobs, opt)
 	}
 	engines := make([]*engine, jobs)
 	for w := range engines {
@@ -196,74 +187,17 @@ func checkCubed(ctx context.Context, n *aig.Netlist, prop int, opt Options, jobs
 	}
 	e0 := engines[0]
 	var splits, stolen int64
-
-	finish := func(r *Result) *Result {
-		r.Prop = prop
-		var st Stats
-		for _, e := range engines {
-			st.Add(e.snapshotStats())
-		}
-		st.Elapsed = time.Since(e0.start)
-		st.CubeSplits, st.CubeStolen = splits, stolen
-		addBusStats(&st, fwd, bwd)
-		publishCoopObs(opt.Obs, &st)
-		r.Stats = st
-		r.DepthStats = e0.depthStats
-		r.Tracker = e0.tracker
-		return r
+	e0.ceQuery = func(prop, k int) *Result {
+		return cubeCECheck(runCtx, cancel, engines, prop, k, &splits, &stolen)
 	}
-
-	for i := 0; i <= opt.MaxDepth; i++ {
-		if e0.timedOut() {
-			return finish(&Result{Kind: KindTimeout, Depth: max(i-1, 0)})
-		}
-		sp := e0.obs.Span("bmc.depth", obs.F("depth", i), obs.F("prop", prop))
-		for _, e := range engines {
-			e.prepareDepth(i)
-		}
-		var r *Result
-		if opt.Proofs && i >= opt.StartDepth {
-			switch e0.forwardCheck(i) {
-			case sat.Unsat:
-				e0.logf("depth %d: forward termination", i)
-				r = &Result{Kind: KindProof, Depth: i, ProofSide: "forward"}
-			case sat.Unknown:
-				r = &Result{Kind: KindTimeout, Depth: i}
-			}
-			if r == nil {
-				switch e0.backwardCheck(prop, i) {
-				case sat.Unsat:
-					e0.logf("depth %d: backward termination", i)
-					r = &Result{Kind: KindProof, Depth: i, ProofSide: "backward"}
-				case sat.Unknown:
-					r = &Result{Kind: KindTimeout, Depth: i}
-				}
-			}
-		}
-		if r == nil && i >= opt.StartDepth {
-			// Depths below the warm-start frontier (Options.StartDepth) only
-			// extend the unrollings; see checkCompiled.
-			r = cubeCECheck(runCtx, cancel, engines, prop, i, &splits, &stolen)
-		}
-		for _, e := range engines {
-			e.publishObs(i)
-		}
-		if opt.CollectDepthStats {
-			e0.collectDepthStat(i)
-		}
-		sp.End(obs.F("emm_clauses", e0.emmClausesCum()),
-			obs.F("clauses", e0.fs.NumClauses()),
-			obs.F("decided", r != nil))
-		if r != nil {
-			e0.obsResolved(r.Kind)
-			return finish(r)
-		}
-		for _, e := range engines {
-			e.simplifyStep(i)
-		}
+	r := e0.finish(checkCompiled(&bmcStrategy{e0}, []int{prop}, engines...)[0])
+	r.Stats = Stats{Elapsed: time.Since(e0.start), CubeSplits: splits, CubeStolen: stolen}
+	for _, e := range engines {
+		r.Stats.Add(e.snapshotStats())
 	}
-	e0.obsResolved(KindNoCE)
-	return finish(&Result{Kind: KindNoCE, Depth: opt.MaxDepth})
+	addBusStats(&r.Stats, fwd, bwd)
+	publishCoopObs(opt.Obs, &r.Stats)
+	return r
 }
 
 // cubeCECheck fans the depth-i counter-example check out over the cube
@@ -273,15 +207,9 @@ func checkCubed(ctx context.Context, n *aig.Netlist, prop int, opt Options, jobs
 // poll.
 func cubeCECheck(ctx context.Context, cancel context.CancelFunc, engines []*engine, prop, depth int, splits, stolen *int64) *Result {
 	jobs := len(engines)
-	nComp := -1
-	for _, e := range engines {
-		c := 0
-		if e.fg != nil {
-			c = len(e.fg.CompLits())
-		}
-		if nComp < 0 || c < nComp {
-			nComp = c
-		}
+	nComp := engines[0].comparators()
+	for _, e := range engines[1:] {
+		nComp = min(nComp, e.comparators())
 	}
 	w := 0
 	for (1<<w) < 2*jobs && w < nComp && w < cubeMaxInitialWidth {
@@ -327,15 +255,10 @@ func cubeWorker(ctx context.Context, e *engine, self int, q *cubeQueue, prop, de
 		if !ok {
 			return
 		}
-		st := e.solveCube(prop, depth, cb.signs, cubeConflictBudget)
-		if st == sat.Unknown && !e.timedOut() {
-			// Budget exceeded: refine by splitting, or solve to completion
-			// when the split variables are exhausted.
-			if len(cb.signs) < nComp {
-				q.split(cb, self)
-				continue
-			}
-			st = e.solveCube(prop, depth, cb.signs, 0)
+		st, split := e.refineCube(prop, depth, cb.signs, nComp)
+		if split {
+			q.split(cb, self)
+			continue
 		}
 		switch st {
 		case sat.Unsat:
@@ -343,10 +266,8 @@ func cubeWorker(ctx context.Context, e *engine, self int, q *cubeQueue, prop, de
 		case sat.Sat:
 			// Extract before anything else touches this engine's solver:
 			// the model lives in the worker's own fs.
-			wit := e.extractWitness(depth)
-			e.validateWitness(wit, prop)
 			e.logf("depth %d: counter-example (cube worker %d)", depth, self)
-			decide(&Result{Kind: KindCE, Depth: depth, Witness: wit})
+			decide(&Result{Kind: KindCE, Depth: depth, Witness: e.extractWitness(depth)})
 			q.done()
 			return
 		default:
@@ -359,6 +280,29 @@ func cubeWorker(ctx context.Context, e *engine, self int, q *cubeQueue, prop, de
 			return
 		}
 	}
+}
+
+// refineCube solves a cube under the conflict budget. A cube that exceeds
+// it asks to be split (split=true) while comparator indices remain, and
+// is otherwise solved to completion.
+func (e *engine) refineCube(prop, depth int, signs []bool, nComp int) (st sat.Status, split bool) {
+	st = e.solveCube(prop, depth, signs, cubeConflictBudget)
+	if st == sat.Unknown && !e.timedOut() {
+		if len(signs) < nComp {
+			return st, true
+		}
+		st = e.solveCube(prop, depth, signs, 0)
+	}
+	return st, false
+}
+
+// comparators is the number of EMM address comparators the forward window
+// has created so far: the cube split variables, in creation order.
+func (e *engine) comparators() int {
+	if e.fg == nil {
+		return 0
+	}
+	return len(e.fg.CompLits())
 }
 
 // solveCube runs the depth-i counter-example check under the cube's
@@ -380,6 +324,30 @@ func (e *engine) solveCube(prop, depth int, signs []bool, budget int64) sat.Stat
 	e.fs.ConflictBudget = old
 	sp.End(obs.F("result", st.String()))
 	return st
+}
+
+// newBuses creates a fleet's clause-sharing buses: one for the forward
+// windows and, with Proofs, one for the backward windows (they describe
+// different execution sets).
+func newBuses(workers int, opt Options) (fwd, bwd *share.Bus) {
+	fwd = share.NewBus(workers, ringCapacity(opt))
+	if opt.Proofs {
+		bwd = share.NewBus(workers, ringCapacity(opt))
+	}
+	return fwd, bwd
+}
+
+// fleetContext derives a cube or distributed fleet's run context: its
+// cancel tears the fleet down once the outcome is decided, and opt.Timeout
+// becomes a deadline on it (cleared from opt) so the whole fleet stops at
+// the same wall-clock instant.
+func fleetContext(ctx context.Context, opt *Options) (context.Context, context.CancelFunc) {
+	if opt.Timeout <= 0 {
+		return context.WithCancel(ctx)
+	}
+	d := opt.Timeout
+	opt.Timeout = 0
+	return context.WithTimeout(ctx, d)
 }
 
 // addBusStats folds the buses' fleet-wide tallies into st.

@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"emmver/internal/aig"
-	"emmver/internal/obs"
 	"emmver/internal/sat"
 	"emmver/internal/share"
 	"emmver/internal/sharenet"
@@ -66,26 +65,24 @@ func CheckDistCtx(ctx context.Context, n *aig.Netlist, prop int, opt Options, cl
 	return c.finish(r, prop, opt), nil
 }
 
-// checkDist is the distributed engine loop on the compiled netlist.
+// checkDist runs this process's worker of a distributed fleet on the
+// compiled netlist: the per-depth driver with the bmc ladder, whose
+// ceQuery is the broker's lease/solve/report cycle (distCubeLoop).
 func checkDist(ctx context.Context, n *aig.Netlist, prop int, opt Options, cl *sharenet.Client) (*Result, error) {
-	runCtx, cancel := context.WithCancel(ctx)
+	// The broker leases cubes from depth 0 and advances one depth at a
+	// time, so every worker must ask at every depth.
+	opt.StartDepth = 0
+	runCtx, cancel := fleetContext(ctx, &opt)
 	defer cancel()
-	if opt.Timeout > 0 {
-		var tcancel context.CancelFunc
-		runCtx, tcancel = context.WithTimeout(runCtx, opt.Timeout)
-		defer tcancel()
-		opt.Timeout = 0
-	}
 	// A fleet verdict (wherever it was found) interrupts this worker's
 	// in-flight solve at its next poll.
 	cl.OnVerdict(func(sharenet.Verdict) { cancel() })
 
 	var fwd, bwd *share.Bus
 	if opt.Share {
-		fwd = share.NewBus(1, ringCapacity(opt))
+		fwd, bwd = newBuses(1, opt)
 		cl.AttachBus(0, fwd)
-		if opt.Proofs {
-			bwd = share.NewBus(1, ringCapacity(opt))
+		if bwd != nil {
 			cl.AttachBus(1, bwd)
 		}
 	}
@@ -94,156 +91,111 @@ func checkDist(ctx context.Context, n *aig.Netlist, prop int, opt Options, cl *s
 		e.fg.TrackComparators = true
 	}
 	attachShare(e, fwd, bwd, 0)
-	self := cl.WorkerID()
-	proofWorker := opt.Proofs && self == 0
+	// Only the broker-assigned worker 0 runs the termination proofs; its
+	// peers keep the backward window (and its bus) but skip the checks.
+	e.opt.Proofs = opt.Proofs && cl.WorkerID() == 0
 
-	finish := func(r *Result) *Result {
-		r.Prop = prop
-		st := e.snapshotStats()
-		addBusStats(&st, fwd, bwd)
-		publishCoopObs(opt.Obs, &st)
-		r.Stats = st
-		r.DepthStats = e.depthStats
-		r.Tracker = e.tracker
+	var linkErr error
+	e.ceQuery = func(prop, k int) *Result {
+		r, err := distCubeLoop(e, cl, prop, k, e.comparators())
+		if err != nil {
+			linkErr = err
+			return &Result{Kind: KindTimeout, Depth: k}
+		}
 		return r
 	}
-	// remoteResult maps the fleet verdict onto a local Result once the
-	// decisive answer happened (here or elsewhere).
-	remoteResult := func(depth int) *Result {
+
+	r := e.finish(checkCompiled(&bmcStrategy{e}, []int{prop}, e)[0])
+	switch {
+	case linkErr != nil:
+		return nil, linkErr
+	case r.Witness != nil:
+		// This worker's counter-example; distCubeLoop told the fleet.
+	case r.Kind == KindProof:
+		// A termination proof: this is the proof worker.
+		cl.SendVerdict(sharenet.Verdict{Kind: sharenet.VerdictProof, Depth: r.Depth, Side: r.ProofSide})
+	default:
+		// Stopped without a local verdict — a timeout, a verdict found
+		// elsewhere, or an advance that raced the broker's finish at
+		// MaxDepth: report what the fleet concluded (first verdict wins).
 		v, ok := cl.Verdict()
 		if !ok {
-			// Transport gone (or broker closed verdict-less): this worker
-			// can only report how far it got.
-			return &Result{Kind: KindTimeout, Depth: depth}
+			// This worker timed out first (tell the fleet), or the
+			// transport is gone: it can only report how far it got.
+			v = sharenet.Verdict{Kind: sharenet.VerdictTimeout, Depth: r.Depth}
+			if r.Kind == KindTimeout {
+				cl.SendVerdict(v)
+			}
 		}
+		r.Kind, r.Depth, r.ProofSide = KindTimeout, v.Depth, v.Side
 		switch v.Kind {
 		case sharenet.VerdictCE:
-			return &Result{Kind: KindCE, Depth: v.Depth}
+			r.Kind = KindCE
 		case sharenet.VerdictNoCE:
-			return &Result{Kind: KindNoCE, Depth: v.Depth}
+			r.Kind = KindNoCE
 		case sharenet.VerdictProof:
-			return &Result{Kind: KindProof, Depth: v.Depth, ProofSide: v.Side}
-		default:
-			return &Result{Kind: KindTimeout, Depth: v.Depth}
+			r.Kind = KindProof
 		}
 	}
-
-	depth := 0
-	for depth <= opt.MaxDepth {
-		if e.timedOut() {
-			if _, ok := cl.Verdict(); !ok {
-				cl.SendVerdict(sharenet.Verdict{Kind: sharenet.VerdictTimeout, Depth: depth})
-			}
-			return finish(remoteResult(max(depth-1, 0))), nil
-		}
-		sp := e.obs.Span("bmc.depth", obs.F("depth", depth), obs.F("prop", prop))
-		e.prepareDepth(depth)
-		if proofWorker {
-			// An Unknown from either check means this worker was interrupted
-			// (fleet verdict or local timeout); the cube loop below notices
-			// and reports, so proofs just fall through.
-			var r *Result
-			switch e.forwardCheck(depth) {
-			case sat.Unsat:
-				e.logf("depth %d: forward termination", depth)
-				r = &Result{Kind: KindProof, Depth: depth, ProofSide: "forward"}
-			case sat.Sat:
-				if e.backwardCheck(prop, depth) == sat.Unsat {
-					e.logf("depth %d: backward termination", depth)
-					r = &Result{Kind: KindProof, Depth: depth, ProofSide: "backward"}
-				}
-			}
-			if r != nil {
-				cl.SendVerdict(sharenet.Verdict{Kind: sharenet.VerdictProof, Depth: depth, Side: r.ProofSide})
-				sp.End(obs.F("decided", true))
-				e.obsResolved(r.Kind)
-				return finish(r), nil
-			}
-		}
-		nComp := 0
-		if e.fg != nil {
-			nComp = len(e.fg.CompLits())
-		}
-		next, r, err := distCubeLoop(e, cl, prop, depth, nComp, remoteResult)
-		e.publishObs(depth)
-		if opt.CollectDepthStats {
-			e.collectDepthStat(depth)
-		}
-		sp.End(obs.F("emm_clauses", e.emmClausesCum()),
-			obs.F("clauses", e.fs.NumClauses()),
-			obs.F("decided", r != nil))
-		if err != nil {
-			return nil, err
-		}
-		if r != nil {
-			e.obsResolved(r.Kind)
-			return finish(r), nil
-		}
-		e.simplifyStep(depth)
-		depth = next
-	}
-	// The broker finishes the fleet at MaxDepth; falling out of the loop
-	// means an advance raced the finish frame — the verdict tells the story.
-	return finish(remoteResult(opt.MaxDepth)), nil
+	addBusStats(&r.Stats, fwd, bwd)
+	publishCoopObs(opt.Obs, &r.Stats)
+	return r, nil
 }
 
-// distCubeLoop runs one depth's lease/solve/report cycle. It returns the
-// next depth to prepare (on a fleet advance), or a decisive local Result.
-func distCubeLoop(e *engine, cl *sharenet.Client, prop, depth, nComp int, remoteResult func(int) *Result) (int, *Result, error) {
+// distCubeLoop runs one depth's lease/solve/report cycle. It returns nil
+// when the fleet advances to depth+1 (every cube refuted), this worker's
+// counter-example, or a KindTimeout stop when the fleet is decided
+// elsewhere or this worker was interrupted; checkDist then reports the
+// fleet verdict.
+func distCubeLoop(e *engine, cl *sharenet.Client, prop, depth, nComp int) (*Result, error) {
+	stop := &Result{Kind: KindTimeout, Depth: depth}
 	for {
 		if _, ok := cl.Verdict(); ok {
-			return 0, remoteResult(depth), nil
+			return stop, nil
 		}
 		resp, err := cl.RequestWork(depth, nComp)
 		if err != nil {
-			return 0, nil, fmt.Errorf("bmc: fleet link lost at depth %d: %w", depth, err)
+			return nil, fmt.Errorf("bmc: fleet link lost at depth %d: %w", depth, err)
 		}
 		switch resp.Kind {
 		case sharenet.WorkAdvance:
-			if resp.Depth <= depth {
-				return 0, nil, fmt.Errorf("bmc: broker advanced %d -> %d", depth, resp.Depth)
+			if resp.Depth != depth+1 {
+				return nil, fmt.Errorf("bmc: broker advanced %d -> %d", depth, resp.Depth)
 			}
-			return resp.Depth, nil, nil
+			return nil, nil
 		case sharenet.WorkFinish:
-			return 0, remoteResult(depth), nil
+			return stop, nil
 		case sharenet.WorkLease:
 			signs, err := parseSigns(resp.Signs)
 			if err != nil {
-				return 0, nil, err
+				return nil, err
 			}
-			st := e.solveCube(prop, depth, signs, cubeConflictBudget)
-			if st == sat.Unknown && !e.timedOut() {
-				if len(signs) < nComp {
-					if err := cl.SendResult(depth, resp.Signs, true); err != nil {
-						return 0, nil, err
-					}
-					continue
+			st, split := e.refineCube(prop, depth, signs, nComp)
+			if split {
+				if err := cl.SendResult(depth, resp.Signs, true); err != nil {
+					return nil, err
 				}
-				st = e.solveCube(prop, depth, signs, 0)
+				continue
 			}
 			switch st {
 			case sat.Unsat:
 				if err := cl.SendResult(depth, resp.Signs, false); err != nil {
-					return 0, nil, err
+					return nil, err
 				}
 			case sat.Sat:
 				// Extract before anything else touches this solver: the
 				// model lives here, and only here — peers get the verdict.
 				wit := e.extractWitness(depth)
-				e.validateWitness(wit, prop)
 				e.logf("depth %d: counter-example (distributed worker %d)", depth, cl.WorkerID())
 				cl.SendVerdict(sharenet.Verdict{Kind: sharenet.VerdictCE, Depth: depth})
-				return 0, &Result{Kind: KindCE, Depth: depth, Witness: wit}, nil
+				return &Result{Kind: KindCE, Depth: depth, Witness: wit}, nil
 			default:
 				// Interrupted: a fleet verdict cancelled us, or this
-				// worker's own budget expired. First verdict wins.
-				if _, ok := cl.Verdict(); !ok {
-					cl.SendVerdict(sharenet.Verdict{Kind: sharenet.VerdictTimeout, Depth: depth})
-				}
-				return 0, remoteResult(depth), nil
+				// worker's own budget expired.
+				return stop, nil
 			}
 		default:
-			return 0, nil, fmt.Errorf("bmc: unknown work response kind %d", resp.Kind)
+			return nil, fmt.Errorf("bmc: unknown work response kind %d", resp.Kind)
 		}
 	}
 }

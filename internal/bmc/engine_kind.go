@@ -43,7 +43,6 @@ func (s *kindStrategy) Step(_ context.Context, k int) (*Result, bool) {
 	case sat.Sat:
 		w := e.extractWitness(k)
 		e.logf("depth %d: counter-example (base case)", k)
-		e.validateWitness(w, prop)
 		return &Result{Kind: KindCE, Depth: k, Witness: w}, true
 	case sat.Unknown:
 		return &Result{Kind: KindTimeout, Depth: k}, true

@@ -2,11 +2,8 @@ package bmc
 
 import (
 	"context"
-	"time"
 
 	"emmver/internal/aig"
-	"emmver/internal/obs"
-	"emmver/internal/sat"
 )
 
 // ManyResult reports the per-property outcomes of a CheckMany run plus the
@@ -17,10 +14,11 @@ type ManyResult struct {
 	Stats   Stats
 	// MaxWitnessDepth is the deepest counter-example found.
 	MaxWitnessDepth int
-	// DepthStats holds the shared engine's per-depth deltas
-	// (Options.CollectDepthStats, sequential CheckMany only — the parallel
-	// engines interleave depths across workers, so there is no single
-	// meaningful per-depth table for them).
+	// DepthStats holds the run's per-depth deltas
+	// (Options.CollectDepthStats). Both CheckMany and CheckManyParallel
+	// fill it from the per-depth driver; the parallel entry sums every
+	// worker's deltas at each depth index, so a column still totals to
+	// the run's figure.
 	DepthStats []DepthStat
 }
 
@@ -35,11 +33,10 @@ func (m *ManyResult) Counts() map[Kind]int {
 
 // CheckMany verifies many reachability properties of one design while
 // sharing a single incremental unrolling (and EMM constraint set) across
-// all of them. At each depth it runs, per unresolved property, the
-// counter-example check; with Proofs enabled it also runs the
-// property-independent forward termination check once per depth (which,
-// when UNSAT, proves every remaining property at once) and a per-property
-// backward induction check.
+// all of them. At each depth the per-depth driver steps the configured
+// strategy once per unresolved property, in order; the
+// property-independent forward termination check runs once per depth
+// (when UNSAT it proves every remaining property at once).
 func CheckMany(n *aig.Netlist, props []int, opt Options) *ManyResult {
 	return CheckManyCtx(context.Background(), n, props, opt)
 }
@@ -49,107 +46,47 @@ func CheckMany(n *aig.Netlist, props []int, opt Options) *ManyResult {
 // cost is shared the same way the unrolling is.
 func CheckManyCtx(ctx context.Context, n *aig.Netlist, props []int, opt Options) *ManyResult {
 	c := compileModel(n, props, &opt)
-	out := checkManyCompiled(ctx, c.n, c.props, opt)
-	for pi := range out.Results {
-		out.Results[pi] = c.finish(out.Results[pi], c.srcProps[pi], opt)
-	}
+	e := newEngine(ctx, c.n, c.props[0], opt)
+	out := &ManyResult{Results: checkCompiled(e.strategyFor(), c.props, e)}
+	out.Stats = e.snapshotStats()
+	out.DepthStats = e.depthStats
+	out.finish(c, opt)
 	return out
 }
 
-func checkManyCompiled(ctx context.Context, n *aig.Netlist, props []int, opt Options) *ManyResult {
-	e := newEngine(ctx, n, props[0], opt)
-	out := &ManyResult{Results: make([]*Result, len(props))}
-	unresolved := len(props)
-	finishAll := func(kind Kind, depth int, side string) {
-		for pi := range props {
-			if out.Results[pi] == nil {
-				out.Results[pi] = &Result{Kind: kind, Prop: props[pi], Depth: depth, ProofSide: side}
-				e.obsResolved(kind)
-			}
+// finish records the deepest witness and translates every result to
+// source coordinates. A property a cancelled parallel run never dispensed
+// has no result yet and times out at depth 0.
+func (m *ManyResult) finish(c compiled, opt Options) {
+	for pi, r := range m.Results {
+		if r == nil {
+			r = &Result{Kind: KindTimeout}
 		}
-		unresolved = 0
+		if r.Kind == KindCE && r.Depth > m.MaxWitnessDepth {
+			m.MaxWitnessDepth = r.Depth
+		}
+		m.Results[pi] = c.finish(r, c.srcProps[pi], opt)
 	}
+}
 
-	start := time.Now()
-	for i := 0; i <= opt.MaxDepth && unresolved > 0; i++ {
-		if e.timedOut() {
-			finishAll(KindTimeout, max(i-1, 0), "")
-			break
+// addDepthStats adds each delta of ds into sum at its depth index,
+// extending sum as needed.
+func addDepthStats(sum, ds []DepthStat) []DepthStat {
+	for _, d := range ds {
+		for len(sum) <= d.Depth {
+			sum = append(sum, DepthStat{Depth: len(sum)})
 		}
-		sp := e.obs.Span("bmc.depth", obs.F("depth", i), obs.F("unresolved", unresolved))
-		endDepth := func() {
-			e.publishObs(i)
-			sp.End(obs.F("emm_clauses", e.emmClausesCum()),
-				obs.F("clauses", e.fs.NumClauses()),
-				obs.F("unresolved", unresolved))
-		}
-		e.prepareDepth(i)
-
-		if opt.Proofs {
-			// Forward termination is property-independent.
-			switch e.forwardCheck(i) {
-			case sat.Unsat:
-				finishAll(KindProof, i, "forward")
-			case sat.Unknown:
-				finishAll(KindTimeout, i, "")
-			}
-			if unresolved == 0 {
-				endDepth()
-				break
-			}
-		}
-
-		for pi, p := range props {
-			if out.Results[pi] != nil {
-				continue
-			}
-			if e.timedOut() {
-				out.Results[pi] = &Result{Kind: KindTimeout, Prop: p, Depth: i}
-				continue
-			}
-			if opt.Proofs {
-				if e.backwardCheck(p, i) == sat.Unsat {
-					out.Results[pi] = &Result{Kind: KindProof, Prop: p, Depth: i, ProofSide: "backward"}
-					unresolved--
-					e.obsResolved(KindProof)
-					e.logf("prop %d: backward proof at depth %d", p, i)
-					continue
-				}
-			}
-			switch e.ceCheck(p, i) {
-			case sat.Sat:
-				e.prop = p
-				w := e.extractWitness(i)
-				e.validateWitness(w, p)
-				out.Results[pi] = &Result{Kind: KindCE, Prop: p, Depth: i, Witness: w}
-				unresolved--
-				e.obsResolved(KindCE)
-				if i > out.MaxWitnessDepth {
-					out.MaxWitnessDepth = i
-				}
-				e.logf("prop %d: counter-example at depth %d", p, i)
-			case sat.Unknown:
-				out.Results[pi] = &Result{Kind: KindTimeout, Prop: p, Depth: i}
-				unresolved--
-			}
-		}
-		if opt.CollectDepthStats {
-			e.collectDepthStat(i)
-		}
-		endDepth()
-		if unresolved > 0 {
-			e.simplifyStep(i)
-		}
+		s := &sum[d.Depth]
+		s.Clauses += d.Clauses
+		s.Vars += d.Vars
+		s.EMMClauses += d.EMMClauses
+		s.StrashHits += d.StrashHits
+		s.CompMemoHits += d.CompMemoHits
+		s.Propagations += d.Propagations
+		s.Conflicts += d.Conflicts
+		s.Decisions += d.Decisions
+		s.Solves += d.Solves
+		s.Elapsed += d.Elapsed
 	}
-	for pi, p := range props {
-		if out.Results[pi] == nil {
-			out.Results[pi] = &Result{Kind: KindNoCE, Prop: p, Depth: opt.MaxDepth}
-			e.obsResolved(KindNoCE)
-		}
-	}
-	r := e.finish(&Result{})
-	out.Stats = r.Stats
-	out.Stats.Elapsed = time.Since(start)
-	out.DepthStats = r.DepthStats
-	return out
+	return sum
 }

@@ -178,14 +178,23 @@ func (e *engine) prepareDepth(i int) {
 // EMM generators per frame on their own) and raises the depth high-water
 // gauge. No-op without an attached registry.
 func (e *engine) publishObs(i int) {
-	e.fu.PublishObs()
-	if e.bu != nil {
-		e.bu.PublishObs()
-	}
-	if e.cu != e.fu {
-		e.cu.PublishObs()
+	for _, u := range e.unrollers() {
+		u.PublishObs()
 	}
 	e.obsDepth.Max(int64(i))
+}
+
+// unrollers lists the engine's distinct unrollings, in the order of the
+// solvers they feed (see solvers).
+func (e *engine) unrollers() []*unroll.Unroller {
+	out := []*unroll.Unroller{e.fu}
+	if e.bu != nil {
+		out = append(out, e.bu)
+	}
+	if e.cu != e.fu {
+		out = append(out, e.cu)
+	}
+	return out
 }
 
 // emmClausesCum is the cumulative EMM clause count of the counter-example

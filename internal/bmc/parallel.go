@@ -9,7 +9,6 @@ import (
 	"emmver/internal/aig"
 	"emmver/internal/obs"
 	"emmver/internal/par"
-	"emmver/internal/sat"
 	"emmver/internal/share"
 )
 
@@ -23,6 +22,8 @@ import (
 // reaching it resolves its property instantly as a forward proof — the
 // paper's "10 induction proofs in < 1 s" effect, now paid for once.
 //
+// Each property runs the same per-depth driver as CheckMany, on its
+// worker's engine, with the shared oracle as that engine's forward hook.
 // Outcomes are deterministic: every per-property verdict (Kind, Depth,
 // ProofSide) equals what the sequential CheckMany computes, because SAT
 // answers are semantic and at most one verdict class can fire per depth.
@@ -58,10 +59,9 @@ func CheckManyParallelCtx(ctx context.Context, n *aig.Netlist, props []int, opt 
 		// worker budget to the cube-and-conquer splitter instead.
 		r := checkCubed(ctx, n, props[0], opt, jobs)
 		out.Stats = r.Stats
-		out.Results[0] = c.finish(r, c.srcProps[0], opt)
-		if r.Kind == KindCE {
-			out.MaxWitnessDepth = r.Depth
-		}
+		out.DepthStats = r.DepthStats
+		out.Results[0] = r
+		out.finish(c, opt)
 		return out
 	}
 	if jobs > len(props) {
@@ -79,10 +79,7 @@ func CheckManyParallelCtx(ctx context.Context, n *aig.Netlist, props []int, opt 
 	// separate buses (different execution sets).
 	var fwd, bwd *share.Bus
 	if opt.Share && jobs > 1 && shareEligible(n, opt) {
-		fwd = share.NewBus(jobs, ringCapacity(opt))
-		if opt.Proofs {
-			bwd = share.NewBus(jobs, ringCapacity(opt))
-		}
+		fwd, bwd = newBuses(jobs, opt)
 	}
 
 	// Reusing one engine per worker across properties is a conservative
@@ -96,6 +93,13 @@ func CheckManyParallelCtx(ctx context.Context, n *aig.Netlist, props []int, opt 
 
 	engines := make([]*engine, jobs)
 	workerStats := make([]Stats, jobs)
+	workerDepths := make([][]DepthStat, jobs)
+	retire := func(w int, e *engine) {
+		workerStats[w].Add(e.snapshotStats())
+		workerDepths[w] = addDepthStats(workerDepths[w], e.depthStats)
+	}
+	// The fleet's forward oracle: the first forward-UNSAT depth any worker
+	// found, shared by every worker engine (see forwardCheck).
 	var fwdUnsat atomic.Int64
 	fwdUnsat.Store(math.MaxInt64)
 
@@ -103,7 +107,7 @@ func CheckManyParallelCtx(ctx context.Context, n *aig.Netlist, props []int, opt 
 		e := engines[w]
 		if e == nil || !reuse {
 			if e != nil {
-				workerStats[w].Add(e.snapshotStats())
+				retire(w, e)
 			}
 			// Each worker's engine carries a derived observer tagged with
 			// the worker index, so every span it emits (depth steps, solver
@@ -111,136 +115,30 @@ func CheckManyParallelCtx(ctx context.Context, n *aig.Netlist, props []int, opt 
 			wopt := opt
 			wopt.Obs = opt.Obs.With(obs.F("worker", w))
 			e = newEngine(ctx, n, props[pi], wopt)
+			e.fwdUnsat = &fwdUnsat
 			attachShare(e, fwd, bwd, w)
 			engines[w] = e
 		}
-		out.Results[pi] = e.runProp(props[pi], &fwdUnsat)
+		// Each result carries its property's wall time; the solver-level
+		// counters are aggregated per worker instead (ManyResult.Stats).
+		t0 := time.Now()
+		r := checkCompiled(e.strategyFor(), props[pi:pi+1], e)[0]
+		r.Stats.Elapsed = time.Since(t0)
+		out.Results[pi] = r
 	})
 
 	for w, e := range engines {
 		if e != nil {
-			workerStats[w].Add(e.snapshotStats())
+			retire(w, e)
 		}
 		out.Stats.Add(workerStats[w])
+		out.DepthStats = addDepthStats(out.DepthStats, workerDepths[w])
 	}
 	addBusStats(&out.Stats, fwd, bwd)
 	if fwd != nil {
 		publishCoopObs(opt.Obs, &out.Stats)
 	}
 	out.Stats.Elapsed = time.Since(start)
-	for pi, p := range props {
-		r := out.Results[pi]
-		if r == nil {
-			// The run was cancelled before this property was dispensed.
-			r = &Result{Kind: KindTimeout, Prop: p, Depth: 0}
-			out.Results[pi] = r
-		}
-		if r.Kind == KindCE && r.Depth > out.MaxWitnessDepth {
-			out.MaxWitnessDepth = r.Depth
-		}
-	}
-	for pi := range out.Results {
-		out.Results[pi] = c.finish(out.Results[pi], c.srcProps[pi], opt)
-	}
+	out.finish(c, opt)
 	return out
-}
-
-// runProp runs the sequential per-depth check order for property p on e,
-// consulting the fleet-shared forward-termination oracle. The result
-// carries this property's wall time; the solver-level counters are
-// aggregated per worker instead (ManyResult.Stats).
-func (e *engine) runProp(p int, fwdUnsat *atomic.Int64) *Result {
-	t0 := time.Now()
-	r := e.runPropLoop(p, fwdUnsat)
-	r.Stats.Elapsed = time.Since(t0)
-	return r
-}
-
-func (e *engine) runPropLoop(p int, fwdUnsat *atomic.Int64) *Result {
-	e.prop = p
-	for i := 0; i <= e.opt.MaxDepth; i++ {
-		if e.timedOut() {
-			return &Result{Kind: KindTimeout, Prop: p, Depth: max(i-1, 0)}
-		}
-		sp := e.obs.Span("bmc.depth", obs.F("depth", i), obs.F("prop", p))
-		e.prepareDepth(i)
-		r := e.propDepthStep(p, i, fwdUnsat)
-		e.publishObs(i)
-		sp.End(obs.F("emm_clauses", e.emmClausesCum()),
-			obs.F("clauses", e.fs.NumClauses()),
-			obs.F("decided", r != nil))
-		if r != nil {
-			e.obsResolved(r.Kind)
-			return r
-		}
-		e.simplifyStep(i)
-	}
-	e.obsResolved(KindNoCE)
-	return &Result{Kind: KindNoCE, Prop: p, Depth: e.opt.MaxDepth}
-}
-
-// propDepthStep runs the depth-i check order for property p against the
-// fleet-shared forward oracle, returning a decisive Result or nil.
-func (e *engine) propDepthStep(p, i int, fwdUnsat *atomic.Int64) *Result {
-	if e.opt.Proofs {
-		switch e.oracleForwardCheck(i, fwdUnsat) {
-		case sat.Unsat:
-			e.logf("prop %d: forward proof at depth %d", p, i)
-			return &Result{Kind: KindProof, Prop: p, Depth: i, ProofSide: "forward"}
-		case sat.Unknown:
-			return &Result{Kind: KindTimeout, Prop: p, Depth: i}
-		}
-		switch e.backwardCheck(p, i) {
-		case sat.Unsat:
-			e.logf("prop %d: backward proof at depth %d", p, i)
-			return &Result{Kind: KindProof, Prop: p, Depth: i, ProofSide: "backward"}
-		case sat.Unknown:
-			return &Result{Kind: KindTimeout, Prop: p, Depth: i}
-		}
-	}
-	switch e.ceCheck(p, i) {
-	case sat.Sat:
-		w := e.extractWitness(i)
-		e.validateWitness(w, p)
-		e.logf("prop %d: counter-example at depth %d", p, i)
-		return &Result{Kind: KindCE, Prop: p, Depth: i, Witness: w}
-	case sat.Unknown:
-		return &Result{Kind: KindTimeout, Prop: p, Depth: i}
-	}
-	return nil
-}
-
-// oracleForwardCheck answers the forward termination check at depth i,
-// short-circuiting through the shared oracle and the per-engine SAT memo.
-// A worker can only still be running at depth i if its depths < i were all
-// SAT, so the first published UNSAT depth is the true first-UNSAT depth and
-// any worker reaching it may resolve without a solver call; conversely
-// depths below it are known SAT.
-func (e *engine) oracleForwardCheck(i int, fwdUnsat *atomic.Int64) sat.Status {
-	if fwdUnsat != nil && int64(i) >= fwdUnsat.Load() {
-		return sat.Unsat
-	}
-	if i <= e.fwdSatDepth {
-		return sat.Sat
-	}
-	st := e.forwardCheck(i)
-	switch st {
-	case sat.Sat:
-		e.fwdSatDepth = i
-	case sat.Unsat:
-		if fwdUnsat != nil {
-			casMin(fwdUnsat, int64(i))
-		}
-	}
-	return st
-}
-
-// casMin lowers a to v unless a already holds something smaller.
-func casMin(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v >= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }

@@ -8,29 +8,29 @@ import (
 	"emmver/internal/sat"
 )
 
-// laneOutcome is what one portfolio lane reports for a depth: a decisive
-// verdict, an interrupted (unknown) solver call, or — for the forward lane
-// only — a completed UNSAT counter-example check.
-type laneOutcome struct {
-	res     *Result
-	unknown bool
-}
-
-// depthStepPortfolio races the depth-i checks on the engine's two solvers:
+// portfolioStrategy races the depth-k checks on the engine's two solvers:
 // the forward lane owns fs (forward termination, then the counter-example
 // check) and the backward lane owns bs (backward termination). The first
 // decisive verdict cancels the other lane via the solver interrupt hook.
 //
 // Verdict classes cannot conflict across lanes: a counter-example at depth
-// i is shortest (earlier depths already passed), hence loop-free with the
-// property holding at frames 0..i-1, so it satisfies both termination
+// k is shortest (earlier depths already passed), hence loop-free with the
+// property holding at frames 0..k-1, so it satisfies both termination
 // queries — a CE excludes forward and backward UNSAT at the same depth.
 // The only genuine tie is forward and backward both proving, which
 // par.First breaks toward the forward lane, matching sequential order.
-func (e *engine) depthStepPortfolio(i int) *Result {
+type portfolioStrategy struct{ e *engine }
+
+func (s *portfolioStrategy) Name() string { return "portfolio" }
+
+// Step runs both lanes. Each lane reports a decisive verdict, a KindTimeout
+// for an interrupted solver call, or nil when its checks were inconclusive.
+func (s *portfolioStrategy) Step(_ context.Context, k int) (*Result, bool) {
+	e := s.e
 	prop := e.prop
-	fwdLane := func(ctx context.Context) (laneOutcome, bool) {
-		sp := e.obs.Span("bmc.lane", obs.F("lane", "forward"), obs.F("depth", i))
+	timeout := &Result{Kind: KindTimeout, Depth: k}
+	fwdLane := func(ctx context.Context) (*Result, bool) {
+		sp := e.obs.Span("bmc.lane", obs.F("lane", "forward"), obs.F("depth", k))
 		defer sp.End()
 		defer e.armSolver(e.fs, ctx)()
 		if cs := e.lazySolver(); cs != nil {
@@ -38,64 +38,50 @@ func (e *engine) depthStepPortfolio(i int) *Result {
 			// lazy proof split runs on its own solver.
 			defer e.armSolver(cs, ctx)()
 		}
-		switch e.forwardCheck(i) {
+		switch e.forwardCheck(k) {
 		case sat.Unsat:
-			return laneOutcome{res: &Result{Kind: KindProof, Depth: i, ProofSide: "forward"}}, true
+			return &Result{Kind: KindProof, Depth: k, ProofSide: "forward"}, true
 		case sat.Unknown:
-			return laneOutcome{unknown: true}, false
+			return timeout, false
 		}
-		switch e.ceCheck(prop, i) {
-		case sat.Sat:
-			// The model lives on fs, which this lane owns exclusively:
-			// decode it before anything else can touch the solver.
-			return laneOutcome{res: &Result{Kind: KindCE, Depth: i, Witness: e.extractWitness(i)}}, true
-		case sat.Unknown:
-			return laneOutcome{unknown: true}, false
+		// The model lives on fs, which this lane owns exclusively: ceStep
+		// decodes the witness before anything else can touch the solver.
+		if r := e.ceStep(prop, k); r != nil {
+			return r, r.Kind != KindTimeout
 		}
 		if e.opt.PBA {
 			// The UNSAT core is only valid until the next fs solve; the
 			// tracker is touched by this lane alone.
-			e.obsPBAUpdate(i)
+			e.obsPBAUpdate(k)
 		}
-		return laneOutcome{}, false
+		return nil, false
 	}
-	bwdLane := func(ctx context.Context) (laneOutcome, bool) {
-		sp := e.obs.Span("bmc.lane", obs.F("lane", "backward"), obs.F("depth", i))
+	bwdLane := func(ctx context.Context) (*Result, bool) {
+		sp := e.obs.Span("bmc.lane", obs.F("lane", "backward"), obs.F("depth", k))
 		defer sp.End()
 		defer e.armSolver(e.bs, ctx)()
-		switch e.backwardCheck(prop, i) {
+		switch e.backwardCheck(prop, k) {
 		case sat.Unsat:
-			return laneOutcome{res: &Result{Kind: KindProof, Depth: i, ProofSide: "backward"}}, true
+			return &Result{Kind: KindProof, Depth: k, ProofSide: "backward"}, true
 		case sat.Unknown:
-			return laneOutcome{unknown: true}, false
+			return timeout, false
 		}
-		return laneOutcome{}, false
+		return nil, false
 	}
 
 	win, outs := par.First(e.ctx, fwdLane, bwdLane)
 	if win >= 0 {
-		r := outs[win].res
-		switch r.Kind {
-		case KindProof:
-			e.logf("depth %d: %s termination", i, r.ProofSide)
-		case KindCE:
-			e.logf("depth %d: counter-example", i)
-			e.validateWitness(r.Witness, prop)
+		r := outs[win]
+		if r.Kind == KindProof {
+			e.logf("depth %d: %s termination", k, r.ProofSide)
 		}
-		return r
+		return r, true
 	}
-	if outs[0].unknown || outs[1].unknown {
-		return &Result{Kind: KindTimeout, Depth: i}
+	if outs[0] != nil || outs[1] != nil {
+		return timeout, true
 	}
 	// Both lanes ran to completion without a verdict — forward SAT, no CE,
 	// backward SAT — exactly the sequential "no CE at this depth" outcome.
-	if e.opt.PBA {
-		e.logf("depth %d: no CE, |LR|=%d (stable %d)", i, e.tracker.Size(), e.tracker.StableFor(i))
-		if e.opt.StopAtStable && e.tracker.StableFor(i) >= e.opt.StabilityDepth {
-			return &Result{Kind: KindStable, Depth: i}
-		}
-	} else {
-		e.logf("depth %d: no CE", i)
-	}
-	return nil
+	r := e.noCE(k)
+	return r, r != nil
 }

@@ -72,6 +72,18 @@ func (e *engine) lazySolver() *sat.Solver {
 	return nil
 }
 
+// solvers lists the engine's distinct solvers: forward, then backward and
+// the lazy CE-path solver when the Model built them.
+func (e *engine) solvers() []*sat.Solver {
+	out := []*sat.Solver{e.fs}
+	for _, s := range []*sat.Solver{e.bs, e.lazySolver()} {
+		if s != nil {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // simplifyMinConflicts gates between-depth inprocessing on search effort: a
 // pass only runs once the solvers have logged this many new conflicts since
 // the previous pass, plus one conflict per simplifyClausesPerConfl clauses
@@ -98,13 +110,10 @@ func (e *engine) simplifyStep(i int) {
 	if e.opt.NoSimplify || e.opt.PBA {
 		return
 	}
-	confl := e.fs.Stats().Conflicts
-	clauses := int64(e.fs.NumClauses())
-	for _, o := range []*sat.Solver{e.bs, e.lazySolver()} {
-		if o != nil {
-			confl += o.Stats().Conflicts
-			clauses += int64(o.NumClauses())
-		}
+	var confl, clauses int64
+	for _, s := range e.solvers() {
+		confl += s.Stats().Conflicts
+		clauses += int64(s.NumClauses())
 	}
 	need := simplifyMinConflicts
 	if simplifyClausesPerConfl > 0 {
@@ -115,23 +124,15 @@ func (e *engine) simplifyStep(i int) {
 	}
 	e.lastSimpConfl = confl
 	sp := e.obs.Span("bmc.simplify", obs.F("depth", i), obs.F("prop", e.prop))
-	for _, s := range []*sat.Solver{e.fs, e.bs, e.lazySolver()} {
-		if s == nil {
-			continue
-		}
+	var sub, str, elim int64
+	for _, s := range e.solvers() {
 		if err := s.Simplify(); err != nil && !errors.Is(err, sat.ErrTracingActive) {
 			panic(fmt.Sprintf("bmc: inprocessing failed: %v", err))
 		}
-	}
-	st := e.fs.Stats()
-	sub, str, elim := st.SubsumedClauses, st.StrengthenedClauses, st.EliminatedVars
-	for _, o := range []*sat.Solver{e.bs, e.lazySolver()} {
-		if o != nil {
-			ost := o.Stats()
-			sub += ost.SubsumedClauses
-			str += ost.StrengthenedClauses
-			elim += ost.EliminatedVars
-		}
+		st := s.Stats()
+		sub += st.SubsumedClauses
+		str += st.StrengthenedClauses
+		elim += st.EliminatedVars
 	}
 	sp.End(obs.F("subsumed", sub), obs.F("strengthened", str),
 		obs.F("eliminated_vars", elim))
@@ -139,24 +140,10 @@ func (e *engine) simplifyStep(i int) {
 
 // snapshotStats materializes the engine's cumulative statistics.
 func (e *engine) snapshotStats() Stats {
-	s := e.stats
+	var s Stats
 	s.SolveCalls = int(e.solveCalls.Load())
 	s.Elapsed = time.Since(e.start)
-	s.Clauses = e.fs.NumClauses()
-	s.Vars = e.fs.NumVars()
-	fst := e.fs.Stats()
-	s.Conflicts = fst.Conflicts
-	s.Restarts = fst.Restarts
-	s.RestartsLuby = fst.RestartsLuby
-	s.RestartsEMA = fst.RestartsEMA
-	s.Simplifies = fst.Simplifies
-	s.SubsumedClauses = fst.SubsumedClauses
-	s.StrengthenedClauses = fst.StrengthenedClauses
-	s.EliminatedVars = fst.EliminatedVars
-	for _, o := range []*sat.Solver{e.bs, e.lazySolver()} {
-		if o == nil {
-			continue
-		}
+	for _, o := range e.solvers() {
 		s.Clauses += o.NumClauses()
 		s.Vars += o.NumVars()
 		ost := o.Stats()
@@ -194,20 +181,17 @@ type depthMark struct {
 
 // depthCumulative reads the counters DepthStat deltas are computed from.
 func (e *engine) depthCumulative() depthMark {
-	m := depthMark{at: time.Now()}
-	m.clauses = e.fs.NumClauses()
-	m.vars = e.fs.NumVars()
-	m.strashHits = e.fu.StrashHits
-	fst := e.fs.Stats()
-	m.props, m.confl, m.decs = fst.Propagations, fst.Conflicts, fst.Decisions
-	if e.bs != nil {
-		m.clauses += e.bs.NumClauses()
-		m.vars += e.bs.NumVars()
-		m.strashHits += e.bu.StrashHits
-		bst := e.bs.Stats()
-		m.props += bst.Propagations
-		m.confl += bst.Conflicts
-		m.decs += bst.Decisions
+	m := depthMark{at: time.Now(), solves: int(e.solveCalls.Load())}
+	for _, s := range e.solvers() {
+		st := s.Stats()
+		m.clauses += s.NumClauses()
+		m.vars += s.NumVars()
+		m.props += st.Propagations
+		m.confl += st.Conflicts
+		m.decs += st.Decisions
+	}
+	for _, u := range e.unrollers() {
+		m.strashHits += u.StrashHits
 	}
 	gens := []*core.Generator{e.fg, e.bg}
 	if e.cg != e.fg {
@@ -220,16 +204,6 @@ func (e *engine) depthCumulative() depthMark {
 			m.memoHits += sz.CompMemoHits
 		}
 	}
-	if e.cs != e.fs {
-		m.clauses += e.cs.NumClauses()
-		m.vars += e.cs.NumVars()
-		m.strashHits += e.cu.StrashHits
-		cst := e.cs.Stats()
-		m.props += cst.Propagations
-		m.confl += cst.Conflicts
-		m.decs += cst.Decisions
-	}
-	m.solves = int(e.solveCalls.Load())
 	return m
 }
 

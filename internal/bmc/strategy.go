@@ -1,9 +1,13 @@
 // The Strategy layer: the decision procedure that drives the per-depth
 // checks over a prepared Model (model.go) and Session (session.go). Each
 // strategy decides which solver queries to issue at depth k and how to
-// interpret their answers; the surrounding loop (checkCompiled) owns frame
-// extension, warm-start gating, inprocessing, and observability, so a
-// strategy is exactly the paper-visible difference between engines.
+// interpret their answers. There is one per-depth driver (checkCompiled):
+// every entry point — Check, CheckMany, each property of
+// CheckManyParallel, the cube fleet and the distributed worker — runs it,
+// and it owns frame extension, warm-start gating, inprocessing, DepthStats
+// and observability. An execution mode only changes how the engine answers
+// a query (engine.ceQuery, the shared forward oracle), so a strategy is
+// exactly the paper-visible difference between engines.
 
 package bmc
 
@@ -14,8 +18,9 @@ import (
 )
 
 // Strategy is one verification decision procedure. checkCompiled calls
-// Step once per depth, in increasing order, after the Model has extended
-// every window's unrolling and EMM constraints to k.
+// Step once per depth and unresolved property (the engine's prop), in
+// increasing depth order, after the Model has extended every window's
+// unrolling and EMM constraints to k.
 type Strategy interface {
 	// Name labels the strategy in per-depth trace spans and logs.
 	Name() string
@@ -42,8 +47,10 @@ func (e *engine) strategyFor() Strategy {
 
 // bmcStrategy is the paper's sequential per-depth flow, shared by BMC-1,
 // BMC-2, BMC-3, and PBA phase 1: forward termination, backward
-// termination (when Proofs is on), then the counter-example check, with
-// the PBA tracker fed after an UNSAT CE answer.
+// termination (when Proofs is on), then the counter-example check through
+// the engine's ceQuery hook, with the PBA tracker fed after an UNSAT CE
+// answer. Over a property set the forward check is answered once per
+// depth: forwardCheck memoizes it for the later properties.
 type bmcStrategy struct{ e *engine }
 
 func (s *bmcStrategy) Name() string { return "bmc" }
@@ -67,34 +74,27 @@ func (s *bmcStrategy) Step(_ context.Context, k int) (*Result, bool) {
 			return &Result{Kind: KindTimeout, Depth: k}, true
 		}
 	}
-	switch e.ceCheck(prop, k) {
-	case sat.Sat:
-		w := e.extractWitness(k)
-		e.logf("depth %d: counter-example", k)
-		e.validateWitness(w, prop)
-		return &Result{Kind: KindCE, Depth: k, Witness: w}, true
-	case sat.Unknown:
-		return &Result{Kind: KindTimeout, Depth: k}, true
+	if r := e.ceQuery(prop, k); r != nil {
+		return r, true
 	}
 	if e.opt.PBA {
 		e.obsPBAUpdate(k)
-		e.logf("depth %d: no CE, |LR|=%d (stable %d)", k, e.tracker.Size(), e.tracker.StableFor(k))
-		if e.opt.StopAtStable && e.tracker.StableFor(k) >= e.opt.StabilityDepth {
-			return &Result{Kind: KindStable, Depth: k}, true
-		}
-	} else {
-		e.logf("depth %d: no CE", k)
 	}
-	return nil, false
+	r := e.noCE(k)
+	return r, r != nil
 }
 
-// portfolioStrategy races the forward and backward windows as two lanes
-// per depth (portfolio.go).
-type portfolioStrategy struct{ e *engine }
-
-func (s *portfolioStrategy) Name() string { return "portfolio" }
-
-func (s *portfolioStrategy) Step(_ context.Context, k int) (*Result, bool) {
-	r := s.e.depthStepPortfolio(k)
-	return r, r != nil
+// noCE closes depth k after every check came back inconclusive. Under
+// PBA it reports KindStable once the latch-reason set has been stable for
+// StabilityDepth depths (StopAtStable); otherwise it returns nil.
+func (e *engine) noCE(k int) *Result {
+	if !e.opt.PBA {
+		e.logf("depth %d: no CE", k)
+		return nil
+	}
+	e.logf("depth %d: no CE, |LR|=%d (stable %d)", k, e.tracker.Size(), e.tracker.StableFor(k))
+	if e.opt.StopAtStable && e.tracker.StableFor(k) >= e.opt.StabilityDepth {
+		return &Result{Kind: KindStable, Depth: k}
+	}
+	return nil
 }
