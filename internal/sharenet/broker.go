@@ -483,8 +483,11 @@ func (b *Broker) respondLocked(c *brokerConn, depth, nComp int) []outMsg {
 	}
 	if len(b.leases) == 0 {
 		// Depth drained under us: advance (or finish) and answer from the
-		// new state.
-		if out := b.completeDepthLocked(); out != nil {
+		// new state. Test the state, not the woken responses: with nobody
+		// parked an advance wakes no one, yet this request still needs its
+		// answer.
+		out := b.completeDepthLocked()
+		if b.done || b.depth > depth {
 			return append(out, b.respondLocked(c, depth, -1)...)
 		}
 	}

@@ -148,11 +148,17 @@ func TestCubeProtocolCompletes(t *testing.T) {
 
 // TestCubeSplitRefines: a split result turns one cube into two children,
 // both of which must then be leased and refuted before the fleet finishes.
+// Worker a takes its first seed cube before its peer starts draining, so
+// the peer cannot refute every seed cube (and finish the depth) first.
 func TestCubeSplitRefines(t *testing.T) {
 	_, a, c := pair(t, BrokerOptions{})
-	go drainCubes(t, c, 0, 4)
-	seen := map[string]bool{}
-	split := false
+	resp, err := a.RequestWork(0, 4)
+	if err != nil || resp.Kind != WorkLease {
+		t.Fatalf("first request: %+v, %v; want a lease", resp, err)
+	}
+	drained := make(chan WorkResp, 1)
+	go func() { drained <- drainCubes(t, c, 0, 4) }()
+	a.SendResult(0, resp.Signs, true) // children signs+"0", signs+"1"
 	for {
 		resp, err := a.RequestWork(0, 4)
 		if err != nil {
@@ -164,20 +170,12 @@ func TestCubeSplitRefines(t *testing.T) {
 		if resp.Kind != WorkLease {
 			t.Fatalf("unexpected response kind %d", resp.Kind)
 		}
-		seen[resp.Signs] = true
-		if !split {
-			split = true
-			a.SendResult(0, resp.Signs, true) // children signs+"0", signs+"1"
-		} else {
-			a.SendResult(0, resp.Signs, false)
-		}
+		a.SendResult(0, resp.Signs, false)
 	}
-	// At least one child cube (length > seed width 2) must have been solved
-	// by someone; with worker c refuting blindly we can only check that our
-	// own split produced deeper cubes somewhere in the fleet — the broker
-	// finishing at all proves the children were retired.
-	if !split {
-		t.Fatalf("never got a cube to split")
+	// The broker finishing at all proves the children were retired; the
+	// peer must see the same finish.
+	if r := <-drained; r.Kind != WorkFinish {
+		t.Fatalf("peer's terminal response kind %d, want finish", r.Kind)
 	}
 }
 
@@ -428,5 +426,68 @@ func TestDeadTransportInternFallsBack(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatalf("intern hung on dead transport")
+	}
+}
+
+// TestProofWorkerAdvancesDrainedDepth: the proof worker's request can be
+// the event that completes a depth — its peer refuted every cube and has
+// not asked again yet. The request must be answered with the advance, not
+// parked: with no one else parked, nothing would ever wake it, and the
+// peer would wait at the next depth for the proof gate forever.
+func TestProofWorkerAdvancesDrainedDepth(t *testing.T) {
+	sock := filepath.Join(t.TempDir(), "fleet.sock")
+	b, err := Listen("unix", sock, BrokerOptions{Workers: 2})
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	t.Cleanup(func() { b.Close() })
+	prover, err := Dial("unix", sock, ClientOptions{MaxDepth: 1, Proofs: true})
+	if err != nil {
+		t.Fatalf("Dial prover: %v", err)
+	}
+	t.Cleanup(func() { prover.Close() })
+	peer, err := Dial("unix", sock, ClientOptions{MaxDepth: 1})
+	if err != nil {
+		t.Fatalf("Dial peer: %v", err)
+	}
+	t.Cleanup(func() { peer.Close() })
+	if prover.WorkerID() != 0 {
+		t.Fatalf("prover got worker id %d, want 0", prover.WorkerID())
+	}
+
+	resp, err := peer.RequestWork(0, 0)
+	if err != nil || resp.Kind != WorkLease {
+		t.Fatalf("peer's first request: %+v, %v; want a lease", resp, err)
+	}
+	if err := peer.SendResult(0, resp.Signs, false); err != nil {
+		t.Fatalf("SendResult: %v", err)
+	}
+	// The depth stays open (proof gate) until the prover asks.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		b.mu.Lock()
+		drained := b.seeded && len(b.queue) == 0 && len(b.leases) == 0
+		b.mu.Unlock()
+		if drained {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the broker never retired the refuted cube")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	got := make(chan WorkResp, 1)
+	go func() {
+		r, _ := prover.RequestWork(0, 0)
+		got <- r
+	}()
+	select {
+	case r := <-got:
+		if r.Kind != WorkAdvance || r.Depth != 1 {
+			t.Fatalf("prover got %+v, want an advance to depth 1", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the prover's request at the drained depth was parked, not advanced")
 	}
 }
