@@ -89,7 +89,8 @@ type parser struct {
 
 func (p *parser) parse(r io.Reader) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	// Grow the line buffer on demand, up to a 16 MiB line.
+	sc.Buffer(nil, 1<<24)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

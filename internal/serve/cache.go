@@ -59,6 +59,13 @@ type proofEntry struct {
 	used int64
 }
 
+// sourceEntry is one source index record: the NetlistKey a source
+// compiled to.
+type sourceEntry struct {
+	netKey string
+	used   int64
+}
+
 // Cache is the content-addressed verdict store. All methods are safe for
 // concurrent use.
 type Cache struct {
@@ -72,13 +79,20 @@ type Cache struct {
 	// request on the same design. CE and NO_CE entries stay per-family:
 	// a frontier is only meaningful to the engine flow that produced it.
 	proofs map[string]*proofEntry
-	cap    int
-	clock  int64
+	// sources is the source index: it maps a submission's source identity
+	// (its SourceKey plus the canonical pass spec) to the NetlistKey its
+	// compile produced. Parsing and compiling are deterministic, so a
+	// byte-identical resubmission recovers its structural key with one hash
+	// instead of a parse.
+	sources map[string]*sourceEntry
+	cap     int
+	clock   int64
 
-	hits   int64 // exact answers served without solver work
-	warm   int64 // answers that warm-started a run
-	misses int64
-	stores int64
+	hits       int64 // exact answers served without solver work
+	warm       int64 // answers that warm-started a run
+	misses     int64
+	stores     int64
+	sourceHits int64 // structural keys served by the source index
 }
 
 // NewCache returns a cache bounded to at most cap families (<= 0 selects
@@ -90,6 +104,7 @@ func NewCache(cap int) *Cache {
 	return &Cache{
 		families: make(map[string]*family),
 		proofs:   make(map[string]*proofEntry),
+		sources:  make(map[string]*sourceEntry),
 		cap:      cap,
 	}
 }
@@ -180,20 +195,22 @@ func (c *Cache) Store(familyID, problemID string, v *Verdict) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.clock++
 	f := c.families[familyID]
 	if f == nil {
-		f = &family{}
+		// Stamp the new family before evicting, so the eviction drops the
+		// least recently used old one rather than the newcomer.
+		f = &family{used: c.clock}
 		c.families[familyID] = f
-		c.evictLocked()
+		evictLRU(c.families, c.cap, func(f *family) int64 { return f.used })
 	}
-	c.clock++
 	f.used = c.clock
 	c.stores++
 	switch v.Kind {
 	case "PROOF":
 		f.proof = v
 		c.proofs[problemID] = &proofEntry{v: v, used: c.clock}
-		c.evictProofsLocked()
+		evictLRU(c.proofs, c.cap, func(pe *proofEntry) int64 { return pe.used })
 	case "CE":
 		if f.ce == nil || v.Depth < f.ce.Depth {
 			f.ce = v
@@ -205,32 +222,44 @@ func (c *Cache) Store(familyID, problemID string, v *Verdict) {
 	}
 }
 
-func (c *Cache) evictLocked() {
-	for len(c.families) > c.cap {
-		var oldest string
-		var min int64 = 1<<63 - 1
-		for id, f := range c.families {
-			if f.used < min {
-				min, oldest = f.used, id
-			}
-		}
-		delete(c.families, oldest)
+// indexedKey returns the NetlistKey the source index holds for sourceID,
+// counting a source hit.
+func (c *Cache) indexedKey(sourceID string) (string, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	se := c.sources[sourceID]
+	if se == nil {
+		return "", false
 	}
+	c.clock++
+	se.used = c.clock
+	c.sourceHits++
+	return se.netKey, true
 }
 
-// evictProofsLocked bounds the proof index by the same capacity and LRU
-// clock as the family map (it grows at most one entry per PROOF store, so
-// in practice it stays far smaller).
-func (c *Cache) evictProofsLocked() {
-	for len(c.proofs) > c.cap {
+// indexSource records that the source identified by sourceID compiled to
+// netKey.
+func (c *Cache) indexSource(sourceID, netKey string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.clock++
+	c.sources[sourceID] = &sourceEntry{netKey: netKey, used: c.clock}
+	evictLRU(c.sources, c.cap, func(se *sourceEntry) int64 { return se.used })
+}
+
+// evictLRU bounds m to cap entries, dropping the least recently used
+// first. The family map, the proof index and the source index all share
+// the cache's capacity and LRU clock.
+func evictLRU[V any](m map[string]V, cap int, used func(V) int64) {
+	for len(m) > cap {
 		var oldest string
 		var min int64 = 1<<63 - 1
-		for id, pe := range c.proofs {
-			if pe.used < min {
-				min, oldest = pe.used, id
+		for id, v := range m {
+			if u := used(v); u < min {
+				min, oldest = u, id
 			}
 		}
-		delete(c.proofs, oldest)
+		delete(m, oldest)
 	}
 }
 
@@ -241,6 +270,9 @@ type CacheStats struct {
 	WarmHits int64 `json:"warm_hits"`
 	Misses   int64 `json:"misses"`
 	Stores   int64 `json:"stores"`
+	// SourceHits counts submissions whose structural key came from the
+	// source index, without a parse.
+	SourceHits int64 `json:"source_hits"`
 }
 
 // Stats snapshots the cache counters.
@@ -248,11 +280,12 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Families: len(c.families),
-		Hits:     c.hits,
-		WarmHits: c.warm,
-		Misses:   c.misses,
-		Stores:   c.stores,
+		Families:   len(c.families),
+		Hits:       c.hits,
+		WarmHits:   c.warm,
+		Misses:     c.misses,
+		Stores:     c.stores,
+		SourceHits: c.sourceHits,
 	}
 }
 

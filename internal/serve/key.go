@@ -9,10 +9,13 @@
 // the request's semantic fields (engine, passes — spec.FamilyKey). Two
 // submissions that differ in formatting, signal names, or structure the
 // pipeline removes land on the same cache family; verdicts flow between
-// them. Within a family the depth dimension is exploited monotonically: a
-// PROOF answers every depth, a counter-example at depth d answers every
-// depth >= d, and a NO_CE frontier at depth k answers shallower requests
-// outright and warm-starts deeper ones from k+1 (bmc.Options.StartDepth).
+// them. A source index in front of the structural key remembers what each
+// source compiled to, so a byte-identical resubmission is keyed without
+// being parsed. Within a family the depth dimension is exploited
+// monotonically: a PROOF answers every depth, a counter-example at depth d
+// answers every depth >= d, and a NO_CE frontier at depth k answers
+// shallower requests outright and warm-starts deeper ones from k+1
+// (bmc.Options.StartDepth).
 package serve
 
 import (
@@ -20,19 +23,48 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"sort"
 
 	"emmver/internal/aig"
 )
 
-// SourceKey identifies the submission as written: the format, elaboration
-// parameters, property index, and the raw source bytes. Witnesses are
-// expressed in the source netlist's node coordinates, so a cached witness
-// is only returned to requests with a matching SourceKey; the verdict
-// itself flows on the structural keys below.
+// SourceKey identifies a submission without elaboration parameters as
+// written: the format, top module, property index, and the raw source
+// bytes. Witnesses are expressed in the source netlist's node
+// coordinates, so a cached witness is only returned to requests with a
+// matching source key; the verdict itself flows on the structural keys
+// below. The server keys a request that sets parameters with the
+// parameters hashed in as well.
 func SourceKey(format, top string, prop int, src []byte) string {
+	return sourceKey(format, top, nil, prop, src)
+}
+
+// sourceKey is SourceKey over the elaboration parameters too, hashed in
+// name order. Without parameters it equals SourceKey; with them it hashes
+// under its own tag, so the two never collide.
+func sourceKey(format, top string, params map[string]uint64, prop int, src []byte) string {
+	tag := "emmver-source-v1|"
+	if len(params) > 0 {
+		tag = "emmver-source-params-v1|"
+	}
 	h := sha256.New()
-	h.Write([]byte("emmver-source-v1|" + format + "|" + top + "|"))
+	h.Write([]byte(tag + format + "|" + top + "|"))
 	writeInt(h, prop)
+	if len(params) > 0 {
+		names := make([]string, 0, len(params))
+		for name := range params {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		writeInt(h, len(names))
+		for _, name := range names {
+			writeInt(h, len(name))
+			h.Write([]byte(name))
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], params[name])
+			h.Write(b[:])
+		}
+	}
 	h.Write(src)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -52,7 +52,12 @@ func growthBTOR2(t *testing.T, decoys int) string {
 
 func testServer(t *testing.T) (*Server, *Client) {
 	t.Helper()
-	s := New(Config{Workers: 2})
+	return testServerWith(t, Config{Workers: 2})
+}
+
+func testServerWith(t *testing.T, cfg Config) (*Server, *Client) {
+	t.Helper()
+	s := New(cfg)
 	t.Cleanup(s.Shutdown)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -95,8 +100,8 @@ func TestDuplicateSubmissionCacheHit(t *testing.T) {
 	if second.Verdict.Kind != first.Verdict.Kind || second.Verdict.Depth != first.Verdict.Depth {
 		t.Fatalf("cached verdict drifted: first %+v, second %+v", first.Verdict, second.Verdict)
 	}
-	if st := s.CacheStats(); st.Hits < 1 {
-		t.Fatalf("no cache hit recorded: %+v", st)
+	if st := s.CacheStats(); st.Hits < 1 || st.SourceHits != 1 {
+		t.Fatalf("want a cache hit keyed by the source index: %+v", st)
 	}
 }
 

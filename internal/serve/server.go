@@ -71,7 +71,7 @@ type Config struct {
 type job struct {
 	id        string
 	req       Request
-	netlist   *aig.Netlist
+	netlist   *aig.Netlist // nil until parsed when the source index keyed the job
 	depth     int
 	familyID  string
 	problemID string
@@ -233,26 +233,14 @@ func (s *Server) submit(req Request) (*job, int, error) {
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	n, err := parseNetlist(req.Format, raw, req.Top, req.Params)
-	if err != nil {
-		return nil, http.StatusBadRequest, fmt.Errorf("parse %s: %w", req.Format, err)
-	}
-	if req.Prop < 0 || req.Prop >= len(n.Props) {
-		return nil, http.StatusBadRequest,
-			fmt.Errorf("property %d out of range (design has %d)", req.Prop, len(n.Props))
-	}
 	canon := req.Spec.Canonical()
-	// The compile pipeline is deterministic, so hashing its output here
-	// and letting the engine recompile identically later keeps the key
-	// honest without threading compiled state through the queue.
-	compiled, err := pass.Compile(n, []int{req.Prop}, pass.Options{Spec: canon.Passes})
+	srcKey := sourceKey(req.Format, req.Top, req.Params, req.Prop, raw)
+	netKey, n, err := s.netlistKey(req, raw, srcKey, canon.Passes)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	netKey := NetlistKey(compiled.N, compiled.Props)
 	famID := FamilyID(netKey, req.Spec)
 	probID := ProblemID(netKey, req.Spec)
-	srcKey := SourceKey(req.Format, req.Top, req.Prop, raw)
 	key := famID + fmt.Sprintf(":d%d", canon.Depth)
 
 	s.mu.Lock()
@@ -302,6 +290,31 @@ func (s *Server) submit(req Request) (*job, int, error) {
 		return nil, http.StatusServiceUnavailable, fmt.Errorf("queue full (%d jobs)", s.cfg.QueueDepth)
 	}
 	return j, http.StatusAccepted, nil
+}
+
+// netlistKey resolves a submission's structural key. A source compiled
+// before under the same pass spec is answered by the source index, and n
+// is nil: the netlist is parsed only if the job goes on to solve.
+// Otherwise the source is parsed and compiled, the key hashed from the
+// result and indexed, and n is the parsed netlist. The compile pipeline is
+// deterministic, so hashing its output here and letting the engine
+// recompile identically later keeps the key honest without threading
+// compiled state through the queue.
+func (s *Server) netlistKey(req Request, raw []byte, srcKey, passes string) (key string, n *aig.Netlist, err error) {
+	sourceID := srcKey + ":" + passes
+	if key, ok := s.cache.indexedKey(sourceID); ok {
+		return key, nil, nil
+	}
+	if n, err = req.netlist(raw); err != nil {
+		return "", nil, err
+	}
+	compiled, err := pass.Compile(n, []int{req.Prop}, pass.Options{Spec: passes})
+	if err != nil {
+		return "", nil, err
+	}
+	key = NetlistKey(compiled.N, compiled.Props)
+	s.cache.indexSource(sourceID, key)
+	return key, n, nil
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -393,6 +406,17 @@ func (s *Server) run(slot int, j *job) {
 			warmFrom = hit.WarmFrom
 		}
 	}
+	if j.netlist == nil {
+		// The source index keyed this job without parsing it.
+		raw, err := j.req.sourceBytes()
+		if err == nil {
+			j.netlist, err = j.req.netlist(raw)
+		}
+		if err != nil {
+			s.finish(j, nil, false, 0, err.Error())
+			return
+		}
+	}
 	ob := newJobObserver(j.log)
 	sp := ob.Span("serve.job",
 		obs.F("job", j.id), obs.F("worker", slot),
@@ -441,6 +465,10 @@ func (j *job) finish(v *Verdict, cached bool, warm int, errMsg string) {
 	j.verdict = v
 	j.cached = cached
 	j.warmStart = warm
+	// Server.jobs keeps finished jobs for status queries only, so release
+	// the parsed netlist and the source text.
+	j.netlist = nil
+	j.req.Source, j.req.SourceB64 = "", ""
 	if errMsg != "" {
 		j.state = "failed"
 		j.err = errMsg
@@ -477,6 +505,18 @@ func (r *Request) sourceBytes() ([]byte, error) {
 		return []byte(r.Source), nil
 	}
 	return nil, fmt.Errorf("empty source")
+}
+
+// netlist parses the request's source and checks its property index.
+func (r *Request) netlist(raw []byte) (*aig.Netlist, error) {
+	n, err := parseNetlist(r.Format, raw, r.Top, r.Params)
+	if err != nil {
+		return nil, fmt.Errorf("parse %s: %w", r.Format, err)
+	}
+	if r.Prop < 0 || r.Prop >= len(n.Props) {
+		return nil, fmt.Errorf("property %d out of range (design has %d)", r.Prop, len(n.Props))
+	}
+	return n, nil
 }
 
 func parseNetlist(format string, src []byte, top string, params map[string]uint64) (*aig.Netlist, error) {
