@@ -265,6 +265,11 @@ type Stats struct {
 	Clauses    int
 	Vars       int
 	Conflicts  int64
+	// PeakHeapMB is the high-water mark of the live heap (what the latest
+	// garbage collection found reachable, runtime/metrics
+	// /gc/heap/live:bytes; before the first collection, all heap objects),
+	// sampled at every depth boundary and when the statistics are taken.
+	// It is process-wide: concurrent runs in one process share it.
 	PeakHeapMB float64
 	EMM        core.Sizes
 	// Restarts, split by trigger: Luby budget expiry vs the adaptive glue
@@ -445,6 +450,9 @@ type engine struct {
 
 	depthStats []DepthStat
 	mark       depthMark
+	// peakLive is the largest live-heap sample so far, in bytes (see
+	// sampleHeap).
+	peakLive uint64
 	// lastSimpConfl is the cumulative conflict count (both solvers) at the
 	// last inprocessing pass; simplifyStep skips until enough new search
 	// effort has accumulated to pay for the occurrence-list rebuild.
@@ -647,9 +655,9 @@ func CheckCtx(ctx context.Context, n *aig.Netlist, prop int, opt Options) *Resul
 // forward oracle), not here. The driver alone owns the per-depth jobs
 // around the strategy: the timeout check, the StartDepth warm-start gate,
 // the bmc.depth span, frame extension, publishObs and inprocessing on
-// every fleet engine, DepthStats, witness validation and resolution
-// counting. It returns one result per property; run-level statistics stay
-// on the engines.
+// every fleet engine, the live-heap sample, DepthStats, witness validation
+// and resolution counting. It returns one result per property; run-level
+// statistics stay on the engines.
 func checkCompiled(strat Strategy, props []int, fleet ...*engine) []*Result {
 	e := fleet[0]
 	res := make([]*Result, len(props))
@@ -702,6 +710,7 @@ func checkCompiled(strat Strategy, props []int, fleet ...*engine) []*Result {
 		for _, f := range fleet {
 			f.publishObs(i)
 		}
+		e.sampleHeap()
 		if e.opt.CollectDepthStats {
 			e.collectDepthStat(i)
 		}

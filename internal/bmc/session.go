@@ -12,7 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
+	"runtime/metrics"
 	"time"
 
 	"emmver/internal/core"
@@ -165,10 +165,41 @@ func (e *engine) snapshotStats() Stats {
 	}
 	s.LazyRounds = e.lazyRounds
 	s.LazySpurious = e.lazySpurious
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	s.PeakHeapMB = float64(ms.HeapAlloc) / (1 << 20)
+	e.sampleHeap()
+	s.PeakHeapMB = float64(e.peakLive) / (1 << 20)
 	return s
+}
+
+// sampleHeap folds the current live heap into the engine's high-water mark
+// (Stats.PeakHeapMB). The driver calls it at every depth boundary and
+// snapshotStats once more at the end.
+func (e *engine) sampleHeap() {
+	if v := heapLive(); v > e.peakLive {
+		e.peakLive = v
+	}
+}
+
+// heapLive returns the bytes of heap the most recent garbage collection
+// marked live (runtime/metrics /gc/heap/live:bytes). Before the process's
+// first collection nothing has been freed, so it returns the bytes in heap
+// objects instead. Unlike runtime.ReadMemStats the read does not stop the
+// world.
+func heapLive() uint64 {
+	s := [3]metrics.Sample{
+		{Name: "/gc/heap/live:bytes"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+		{Name: "/memory/classes/heap/objects:bytes"},
+	}
+	metrics.Read(s[:])
+	for _, x := range s {
+		if x.Value.Kind() != metrics.KindUint64 {
+			return 0
+		}
+	}
+	if s[1].Value.Uint64() == 0 {
+		return s[2].Value.Uint64()
+	}
+	return s[0].Value.Uint64()
 }
 
 // depthMark snapshots the cumulative counters at the end of a depth, so the

@@ -303,7 +303,11 @@ func (g *Generator) refineMem(mg *memGen) int {
 		disagree bool
 		members  []*lazyRead
 	}
+	// The groups are visited in first-seen order (the order of
+	// mg.lazyReads), not map order, so the axioms below — and with them
+	// the rest of the search — are the same on every run.
 	var groups map[uint64]*group
+	var order []*group
 	for _, lr := range mg.lazyReads {
 		if !g.litTrue(lr.re) {
 			continue
@@ -345,14 +349,15 @@ func (g *Generator) refineMem(mg *memGen) int {
 		}
 		gr := groups[raddr]
 		if gr == nil {
-			groups[raddr] = &group{val: rd}
-			gr = groups[raddr]
+			gr = &group{val: rd}
+			groups[raddr] = gr
+			order = append(order, gr)
 		} else if gr.val != rd {
 			gr.disagree = true
 		}
 		gr.members = append(gr.members, lr)
 	}
-	for _, gr := range groups {
+	for _, gr := range order {
 		if !gr.disagree {
 			continue
 		}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -48,5 +49,46 @@ func TestLazyGrowthClauseReduction(t *testing.T) {
 	if r.Reduction < 0.40 {
 		t.Fatalf("lazy EMM clause reduction %.1f%% below the 40%% bar (%d eager vs %d lazy)",
 			100*r.Reduction, r.OffEMM, r.OnEMM)
+	}
+}
+
+// Lazy refinement must be deterministic: two identical LazyEMM runs of the
+// growth design (the benchmark's growth-lazy configuration) issue the same
+// axioms, so every search counter and every per-depth delta agrees. Only
+// wall-clock and the heap high-water mark may differ.
+func TestLazyGrowthRepeats(t *testing.T) {
+	n := GrowthSolveNetlist(DefaultGrowthSolve())
+	opt := bmc.BMC2(40)
+	if testing.Short() {
+		opt.MaxDepth = 20
+	}
+	opt.LazyEMM = true
+	opt.CollectDepthStats = true
+	run := func() (bmc.Stats, []bmc.DepthStat) {
+		r := bmc.Check(n, 0, opt)
+		if r.Kind != bmc.KindNoCE {
+			t.Fatalf("verdict %v, want NO_CE", r)
+		}
+		r.Stats.Elapsed, r.Stats.PeakHeapMB = 0, 0
+		for i := range r.DepthStats {
+			r.DepthStats[i].Elapsed = 0
+		}
+		return r.Stats, r.DepthStats
+	}
+	sa, da := run()
+	sb, db := run()
+	if sa.LazySpurious == 0 {
+		t.Fatalf("no spurious lazy model by depth %d: the test does not reach refinement", opt.MaxDepth)
+	}
+	if !reflect.DeepEqual(sa, sb) {
+		t.Errorf("Stats differ between identical runs:\n%+v\n%+v", sa, sb)
+	}
+	if len(da) != len(db) {
+		t.Fatalf("%d depth rows vs %d", len(da), len(db))
+	}
+	for i := range da {
+		if !reflect.DeepEqual(da[i], db[i]) {
+			t.Errorf("depth %d differs:\n%+v\n%+v", i, da[i], db[i])
+		}
 	}
 }

@@ -34,9 +34,15 @@ func (o *varOrder) less(a, b Var) bool {
 	return (*o.activity)[a] > (*o.activity)[b]
 }
 
-func (o *varOrder) grow(n int) {
-	for len(o.indices) < n {
-		o.indices = append(o.indices, -1)
+// extend makes room in indices for variables below n, absent from the heap.
+func (o *varOrder) extend(n int) {
+	old := len(o.indices)
+	if old >= n {
+		return
+	}
+	o.indices = grow(o.indices, n-old)[:n]
+	for i := old; i < n; i++ {
+		o.indices[i] = -1
 	}
 }
 
@@ -45,11 +51,11 @@ func (o *varOrder) contains(v Var) bool {
 }
 
 func (o *varOrder) insert(v Var) {
-	o.grow(int(v) + 1)
+	o.extend(int(v) + 1)
 	if o.contains(v) {
 		return
 	}
-	o.heap = append(o.heap, v)
+	o.heap = append(grow(o.heap, 1), v)
 	o.indices[v] = len(o.heap) - 1
 	o.percolateUp(len(o.heap) - 1)
 }

@@ -13,7 +13,8 @@ package sat
 // or deleted (reasons are locked), so deferred expansion is sound.
 //
 // Chains live in a flat arena indexed by clause id, keeping the per-learnt
-// overhead to the antecedent count times 4 bytes.
+// overhead to the antecedent count times 4 bytes. A clause's id is its cref
+// (see clauseDB.alloc).
 
 // chainEntry encoding: values ≥ 0 are clause ids; value -(v+1) marks "the
 // level-0 derivation of variable v".
@@ -23,27 +24,51 @@ func isLevelZeroMark(e int32) bool { return e < 0 }
 
 func markedVar(e int32) Var { return Var(-e - 1) }
 
-// proofStore holds chains and tags for all attached clauses.
+// proofStore holds chains and tags for all attached clauses, and the
+// visit stamps Core walks them with.
 type proofStore struct {
 	arena []int32 // concatenated chains
 	off   []int32 // id -> start offset in arena (len id+1 entries when built)
 	tags  []int64 // id -> caller tag (originals), -1 for learnt clauses
+
+	// Core's visited sets: an id (variable) was visited in the current
+	// walk when its stamp equals gen.
+	idStamp  []uint32
+	varStamp []uint32
+	gen      uint32
+}
+
+// newWalk starts a Core walk over nID ids and nVar variables: it sizes the
+// stamp arrays and advances the generation, so nothing counts as visited.
+func (p *proofStore) newWalk(nID, nVar int) {
+	if len(p.idStamp) < nID {
+		p.idStamp = resize(p.idStamp, nID)
+	}
+	if len(p.varStamp) < nVar {
+		p.varStamp = resize(p.varStamp, nVar)
+	}
+	p.gen++
+	if p.gen == 0 { // wrapped: stale stamps could alias the new generation
+		clear(p.idStamp)
+		clear(p.varStamp)
+		p.gen = 1
+	}
 }
 
 // addOriginal registers an original clause and returns its id.
 func (p *proofStore) addOriginal(tag int64) int32 {
 	id := int32(len(p.off))
-	p.off = append(p.off, int32(len(p.arena)))
-	p.tags = append(p.tags, tag)
+	p.off = append(grow(p.off, 1), int32(len(p.arena)))
+	p.tags = append(grow(p.tags, 1), tag)
 	return id
 }
 
 // addLearnt registers a learnt clause with its resolution chain.
 func (p *proofStore) addLearnt(chain []int32) int32 {
 	id := int32(len(p.off))
-	p.off = append(p.off, int32(len(p.arena)))
-	p.tags = append(p.tags, -1)
-	p.arena = append(p.arena, chain...)
+	p.off = append(grow(p.off, 1), int32(len(p.arena)))
+	p.tags = append(grow(p.tags, 1), -1)
+	p.arena = append(grow(p.arena, len(chain)), chain...)
 	return id
 }
 
@@ -72,8 +97,9 @@ func (s *Solver) Core() []int64 {
 	if chain == nil && !s.ok {
 		chain = s.rootCause
 	}
-	seenID := make(map[int32]bool)
-	seenVar := make(map[Var]bool)
+	p := &s.proof
+	p.newWalk(len(p.off), len(s.assigns))
+	gen := p.gen
 	seenTag := make(map[int64]bool)
 	var tags []int64
 
@@ -87,10 +113,10 @@ func (s *Solver) Core() []int64 {
 		stack = stack[:len(stack)-1]
 		if isLevelZeroMark(e) {
 			v := markedVar(e)
-			if seenVar[v] {
+			if p.varStamp[v] == gen {
 				continue
 			}
-			seenVar[v] = true
+			p.varStamp[v] = gen
 			r := s.reasons[v]
 			if r == crefUndef {
 				continue // defensive: level-0 decision cannot happen
@@ -103,15 +129,15 @@ func (s *Solver) Core() []int64 {
 			}
 			continue
 		}
-		if seenID[e] {
+		if p.idStamp[e] == gen {
 			continue
 		}
-		seenID[e] = true
-		if s.proof.isLearnt(e) {
-			push(s.proof.chain(e))
+		p.idStamp[e] = gen
+		if p.isLearnt(e) {
+			push(p.chain(e))
 			continue
 		}
-		tag := s.proof.tags[e]
+		tag := p.tags[e]
 		if tag >= 0 && !seenTag[tag] {
 			seenTag[tag] = true
 			tags = append(tags, tag)

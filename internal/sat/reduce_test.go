@@ -6,7 +6,7 @@ import "testing"
 // mirroring what recordLearnt does after conflict analysis.
 func mkLearnt(s *Solver, act float32, lits ...Lit) cref {
 	c := s.db.alloc(lits, true, -1)
-	s.db.hdr[c].act = act
+	s.db.setAct(c, act)
 	s.learnts = append(s.learnts, c)
 	s.attach(c)
 	return c
@@ -73,7 +73,7 @@ func TestReduceDBKeepsBinaryAndLockedLearnts(t *testing.T) {
 	minKept := float32(1e30)
 	maxDel := float32(-1)
 	for _, c := range filler {
-		a := s.db.hdr[c].act
+		a := s.db.act(c)
 		if s.db.isDeleted(c) {
 			if a > maxDel {
 				maxDel = a

@@ -126,17 +126,17 @@ func (s *Solver) Simplify() error {
 // returns the subsumption queue (clauses allocated since the last Simplify,
 // smallest first).
 func (s *Solver) simpCleanAndIndex() []cref {
-	for len(s.occ) < 2*len(s.assigns) {
-		s.occ = append(s.occ, nil)
+	if len(s.occ) < 2*len(s.assigns) {
+		s.occ = resize(s.occ, 2*len(s.assigns))
 	}
 	for i := range s.occ {
 		s.occ[i] = s.occ[i][:0]
 	}
-	for len(s.litStamp) < 2*len(s.assigns) {
-		s.litStamp = append(s.litStamp, 0)
+	if len(s.litStamp) < 2*len(s.assigns) {
+		s.litStamp = resize(s.litStamp, 2*len(s.assigns))
 	}
-	for len(s.abst) < len(s.db.hdr) {
-		s.abst = append(s.abst, 0)
+	if len(s.abst) < len(s.db.hdr) {
+		s.abst = resize(s.abst, len(s.db.hdr))
 	}
 	var queue []cref
 	index := func(list []cref) {
@@ -168,7 +168,7 @@ func (s *Solver) simpCleanAndIndex() []cref {
 					}
 				}
 				s.db.wasted += len(ls) - w
-				s.db.hdr[c].size = int32(w)
+				s.db.setSize(c, w)
 				ls = s.db.lits(c)
 				switch w {
 				case 0:
@@ -272,7 +272,7 @@ func (s *Solver) forwardSubsume(queue []cref) {
 				if s.db.isLearnt(c) && !s.db.isLearnt(d) {
 					// C is implied by the originals and contained in the
 					// original D, so C may take D's place permanently.
-					s.promoteLearnt(c)
+					s.db.promote(c)
 				}
 				s.stats.SubsumedClauses++
 				s.removeClauseSimp(d)
@@ -288,18 +288,12 @@ func (s *Solver) forwardSubsume(queue []cref) {
 	}
 }
 
-// promoteLearnt reclassifies a learnt clause as irredundant (original).
-func (s *Solver) promoteLearnt(c cref) {
-	s.db.hdr[c].flags &^= flagLearnt
-}
-
 // simpStrengthen removes literal l from clause c (self-subsuming
 // resolution), maintaining watches, occurrence lists, and signatures, and
 // requeues c for further subsumption rounds. Returns the updated queue.
 func (s *Solver) simpStrengthen(c cref, l Lit, queue []cref) []cref {
 	s.stats.StrengthenedClauses++
 	s.detach(c)
-	h := &s.db.hdr[c]
 	ls := s.db.lits(c)
 	for i, q := range ls {
 		if q == l {
@@ -307,7 +301,7 @@ func (s *Solver) simpStrengthen(c cref, l Lit, queue []cref) []cref {
 			break
 		}
 	}
-	h.size--
+	s.db.setSize(c, len(ls)-1)
 	s.db.wasted++
 	s.occRemove(l, c)
 	ls = s.db.lits(c)
@@ -532,8 +526,8 @@ func (s *Solver) addSimpClause(lits []Lit) {
 		return // satisfied or tautological: nothing stored
 	}
 	c := cref(before)
-	for len(s.abst) < len(s.db.hdr) {
-		s.abst = append(s.abst, 0)
+	if len(s.abst) < len(s.db.hdr) {
+		s.abst = resize(s.abst, len(s.db.hdr))
 	}
 	if s.db.isDeleted(c) || s.db.size(c) < 2 {
 		return
@@ -628,7 +622,7 @@ func (s *Solver) rebuildLists() {
 			continue
 		}
 		le = append(le, c)
-		s.nTier[s.db.hdr[c].tier]++
+		s.nTier[s.db.tier(c)]++
 	}
 	s.clauses, s.learnts = cl, le
 }

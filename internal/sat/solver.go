@@ -303,17 +303,20 @@ func (s *Solver) PublishObs() {
 // NewVar allocates a fresh variable.
 func (s *Solver) NewVar() Var {
 	v := Var(len(s.assigns))
-	s.assigns = append(s.assigns, Undef)
-	s.levels = append(s.levels, 0)
-	s.reasons = append(s.reasons, crefUndef)
-	s.polarity = append(s.polarity, true) // default phase: false
-	s.decider = append(s.decider, true)
-	s.activity = append(s.activity, 0)
-	s.watches = append(s.watches, nil, nil)
-	s.binWatches = append(s.binWatches, nil, nil)
-	s.seen = append(s.seen, 0)
-	s.frozen = append(s.frozen, 0)
-	s.elimed = append(s.elimed, false)
+	s.assigns = append(grow(s.assigns, 1), Undef)
+	s.levels = append(grow(s.levels, 1), 0)
+	s.reasons = append(grow(s.reasons, 1), crefUndef)
+	s.polarity = append(grow(s.polarity, 1), true) // default phase: false
+	s.decider = append(grow(s.decider, 1), true)
+	s.activity = append(grow(s.activity, 1), 0)
+	s.watches = append(grow(s.watches, 2), nil, nil)
+	s.binWatches = append(grow(s.binWatches, 2), nil, nil)
+	s.seen = append(grow(s.seen, 1), 0)
+	s.frozen = append(grow(s.frozen, 1), 0)
+	s.elimed = append(grow(s.elimed, 1), false)
+	// The trail holds at most one literal per variable; reserving its room
+	// here keeps the append in uncheckedEnqueue from ever moving it.
+	s.trail = grow(s.trail, len(s.assigns)-len(s.trail))
 	if s.order == nil {
 		s.order = newVarOrder(&s.activity)
 	}
@@ -423,12 +426,12 @@ func (s *Solver) AddClauseTagged(tag int64, lits []Lit) bool {
 			s.rootCause = s.levelZeroChain(c)
 		}
 		if s.db.size(c) > 0 {
-			s.clauses = append(s.clauses, c)
+			s.clauses = append(grow(s.clauses, 1), c)
 		}
 		return false
 	case nonFalse == 1:
 		// Effectively a unit clause.
-		s.clauses = append(s.clauses, c)
+		s.clauses = append(grow(s.clauses, 1), c)
 		s.uncheckedEnqueue(s.db.lits(c)[0], c)
 		if confl := s.propagate(); confl != crefUndef {
 			s.ok = false
@@ -439,7 +442,7 @@ func (s *Solver) AddClauseTagged(tag int64, lits []Lit) bool {
 		}
 		return true
 	default:
-		s.clauses = append(s.clauses, c)
+		s.clauses = append(grow(s.clauses, 1), c)
 		s.attach(c)
 		return true
 	}
@@ -477,7 +480,7 @@ func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	s.assigns[v] = True.XorSign(l.Sign())
 	s.levels[v] = int32(s.decisionLevel())
 	s.reasons[v] = from
-	s.trail = append(s.trail, l)
+	s.trail = append(s.trail, l) // never moves: NewVar reserves the room
 }
 
 // propagate performs unit propagation and returns a conflicting clause, or
@@ -595,11 +598,11 @@ func (s *Solver) bumpVar(v Var) {
 func (s *Solver) decayVar() { s.varInc /= 0.99 }
 
 func (s *Solver) bumpClause(c cref) {
-	h := &s.db.hdr[c]
-	h.act += s.claInc
-	if h.act > 1e30 {
+	a := s.db.act(c) + s.claInc
+	s.db.setAct(c, a)
+	if a > 1e30 {
 		for _, lc := range s.learnts {
-			s.db.hdr[lc].act *= 1e-30
+			s.db.setAct(lc, s.db.act(lc)*1e-30)
 		}
 		s.claInc *= 1e-30
 	}
@@ -630,16 +633,16 @@ func (s *Solver) analyze(confl cref) (learnt []Lit, btLevel int, chain []int32) 
 			// Glucose's dynamic glue update: a clause used in analysis
 			// refreshes its disuse stamp, and if its LBD has improved it is
 			// promoted toward a safer tier.
-			h := &s.db.hdr[confl]
-			h.touch = int32(s.stats.Conflicts)
-			if int(h.lbd) > coreLBD {
-				if nl := s.computeLBD(cl); nl < int(h.lbd) {
-					h.lbd = uint16(nl)
-					if nt := tierForLBD(nl); nt > h.tier {
-						s.nTier[h.tier]--
+			s.db.setTouch(confl, int32(s.stats.Conflicts))
+			if lbd := s.db.lbd(confl); lbd > coreLBD {
+				if nl := s.computeLBD(cl); nl < lbd {
+					tier := s.db.tier(confl)
+					if nt := tierForLBD(nl); nt > tier {
+						s.nTier[tier]--
 						s.nTier[nt]++
-						h.tier = nt
+						tier = nt
 					}
+					s.db.setLBDTier(confl, uint16(nl), tier)
 				}
 			}
 		}
@@ -795,18 +798,17 @@ func (s *Solver) recordLearnt(lits []Lit, chain []int32) (cref, int) {
 	}
 	lbd := s.computeLBD(lits)
 	c := s.db.alloc(lits, true, id)
-	h := &s.db.hdr[c]
-	if lbd > int(^uint16(0)) {
-		h.lbd = ^uint16(0)
-	} else {
-		h.lbd = uint16(lbd)
+	glue := ^uint16(0)
+	if lbd < int(glue) {
+		glue = uint16(lbd)
 	}
-	h.tier = tierForLBD(lbd)
-	h.touch = int32(s.stats.Conflicts)
+	tier := tierForLBD(lbd)
+	s.db.setLBDTier(c, glue, tier)
+	s.db.setTouch(c, int32(s.stats.Conflicts))
 	s.stats.LearntsAdded++
 	s.stats.LBDSum += int64(lbd)
 	if len(lits) >= 2 {
-		s.nTier[h.tier]++
+		s.nTier[tier]++
 		s.learnts = append(s.learnts, c)
 		s.attach(c)
 		s.bumpClause(c)
@@ -902,11 +904,10 @@ func (s *Solver) importLearnt(lits []Lit, lbd int) bool {
 	if lbd > len(out) {
 		lbd = len(out)
 	}
-	h := &s.db.hdr[c]
-	h.lbd = uint16(lbd)
-	h.tier = tierForLBD(lbd)
-	h.touch = int32(s.stats.Conflicts)
-	s.nTier[h.tier]++
+	tier := tierForLBD(lbd)
+	s.db.setLBDTier(c, uint16(lbd), tier)
+	s.db.setTouch(c, int32(s.stats.Conflicts))
+	s.nTier[tier]++
 	s.learnts = append(s.learnts, c)
 	s.attach(c)
 	s.stats.ImportedClauses++
@@ -937,18 +938,19 @@ func (s *Solver) reduceDB() {
 	now := int32(s.stats.Conflicts)
 	var local []cref
 	for _, c := range s.learnts {
-		h := &db.hdr[c]
-		if h.flags&flagDel != 0 {
+		if db.isDeleted(c) {
 			continue
 		}
-		if h.tier == tierMid && now-h.touch > midAgeLimit {
-			h.tier = tierLocal
+		tier := db.tier(c)
+		if tier == tierMid && now-db.touch(c) > midAgeLimit {
+			tier = tierLocal
+			db.setLBDTier(c, uint16(db.lbd(c)), tier)
 		}
-		if h.tier == tierLocal {
+		if tier == tierLocal {
 			local = append(local, c)
 		}
 	}
-	sort.Slice(local, func(i, j int) bool { return db.hdr[local[i]].act < db.hdr[local[j]].act })
+	sort.Slice(local, func(i, j int) bool { return db.act(local[i]) < db.act(local[j]) })
 	half := len(local) / 2
 	for i, c := range local {
 		if i >= half {
@@ -968,7 +970,7 @@ func (s *Solver) reduceDB() {
 			continue
 		}
 		keep = append(keep, c)
-		s.nTier[db.hdr[c].tier]++
+		s.nTier[db.tier(c)]++
 	}
 	s.learnts = keep
 	if db.shouldCompact() {
@@ -992,7 +994,7 @@ func (s *Solver) Solve(assumps ...Lit) Status {
 		s.obsSolves.Inc()
 		defer s.PublishObs()
 	}
-	s.model = nil
+	s.model = s.model[:0]
 	s.conflictAssum = nil
 	s.finalChain = nil
 	for _, a := range assumps {
@@ -1144,8 +1146,9 @@ func (s *Solver) Solve(assumps ...Lit) Status {
 		v := s.pickBranchVar()
 		if v == VarUndef {
 			// Model found. Extend it over eliminated variables so that
-			// witness decoding can read any CNF variable.
-			s.model = append([]LBool(nil), s.assigns...)
+			// witness decoding can read any CNF variable. The buffer is
+			// reused across Solve calls (Value reads it; nothing retains it).
+			s.model = append(grow(s.model[:0], len(s.assigns)), s.assigns...)
 			s.extendModel()
 			s.cancelUntil(0)
 			return Sat
